@@ -5,7 +5,7 @@
 #
 # Usage: ./ci.sh [stage]
 #   stage: lint | fmt | clippy | tier1 | chaos | crash | obs | fleet |
-#          ingest | columnar
+#          ingest | perfbench
 #   (default: all, in order)
 #   lint = the two-phase epc-lint audit: per-line rules D1-D6, then the
 #   call-graph taint rules D7-D9 (transitive panic / wall-clock / entropy
@@ -16,9 +16,9 @@ cd "$(dirname "$0")"
 
 stage="${1:-all}"
 case "$stage" in
-  all|lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|columnar) ;;
+  all|lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|perfbench) ;;
   *)
-    echo "usage: $0 [lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|columnar]" >&2
+    echo "usage: $0 [lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|perfbench]" >&2
     exit 2
     ;;
 esac
@@ -363,45 +363,13 @@ if want ingest; then
   done
 fi
 
-if want columnar; then
-  echo "== columnar: differential row-vs-column harness =="
-  cargo test -q --offline -p indice --test columnar
-
-  echo "== columnar: CLI double-run diff (row vs INDICE_ENGINE=columnar) =="
-  # The engine selector is an execution knob, never an output knob: a
-  # release-binary run under INDICE_ENGINE=columnar must produce a tree
-  # byte-identical to the default row engine's on identical inputs.
-  cargo build -q --release --offline -p indice-cli
-  INDICE="$(pwd)/target/release/indice"
-  COL_DIR="$(mktemp -d)"
-  trap 'rm -rf ${CHAOS_DIR:+"$CHAOS_DIR"} ${CRASH_DIR:+"$CRASH_DIR"} \
-    ${OBS_DIR:+"$OBS_DIR"} ${FLEET_DIR:+"$FLEET_DIR"} \
-    ${INGEST_DIR:+"$INGEST_DIR"} "$COL_DIR"' EXIT
-  "$INDICE" generate --records 600 --seed 5 --out-dir "$COL_DIR/data" >/dev/null
-
-  col_args=(run
-    --data "$COL_DIR/data/epcs.csv"
-    --streets "$COL_DIR/data/street_map.txt"
-    --regions "$COL_DIR/data/regions.json"
-    --stakeholder citizen)
-
-  "$INDICE" "${col_args[@]}" --out-dir "$COL_DIR/row" >/dev/null
-  INDICE_ENGINE=columnar "$INDICE" "${col_args[@]}" --out-dir "$COL_DIR/columnar" \
-    >/dev/null
-  if [ "$(tree_hash "$COL_DIR/row")" != "$(tree_hash "$COL_DIR/columnar")" ]; then
-    echo "FAIL: columnar-engine artifacts differ from the row engine's" >&2
-    exit 1
-  fi
-
-  echo "== columnar: bench cross-engine equivalence gate =="
-  # `indice bench --engines row,columnar` fails hard on any fingerprint
-  # or artifact divergence between the engines.
-  "$INDICE" bench --records 600 --seed 5 --engines row,columnar \
-    --out "$COL_DIR/bench.json" >/dev/null
-  grep -q '"engines_match": true' "$COL_DIR/bench.json" || {
-    echo "FAIL: bench snapshot does not record matching engines" >&2
-    exit 1
-  }
+if want perfbench; then
+  echo "== perfbench: benchmark smoke tests (pinned run-dir digests) =="
+  # The benchmark is its own workspace. Its smoke tests pin the run
+  # directories' digests (perfbench/pinned.json) and require them to be
+  # independent of the thread budget, so any byte drift in the artifacts,
+  # journals or checkpoints fails here.
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "CI OK ($stage)"

@@ -14,7 +14,7 @@
 //! scheduled → started(1) → [retried(a) → started(a+1)]* → committed | abandoned
 //! ```
 
-use epc_journal::{write_atomic, ArtifactRecord};
+use epc_journal::{sync_dir, write_atomic, ArtifactRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
@@ -203,15 +203,6 @@ impl FleetJournal {
         write_atomic(&self.dir, FLEET_MANIFEST_FILE, text.as_bytes())
             .map(|_| ())
             .map_err(|e| self.named("rewriting fleet journal", e))
-    }
-}
-
-/// Fsyncs a directory so a completed rename survives power loss
-/// (epc-journal's helper is crate-private; same no-op fallback).
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    match std::fs::File::open(dir) {
-        Ok(d) => d.sync_all(),
-        Err(_) => Ok(()),
     }
 }
 

@@ -239,80 +239,13 @@ pub fn clean_addresses_degradable(
     fallback: Option<&DegradedFallback>,
 ) -> (Vec<CleanedAddress>, CleaningReport) {
     // Pass 1 (parallel, pure): reference-map matching, one Levenshtein
-    // scan per *row*.
+    // scan per row.
     let by_reference = epc_runtime::par_map(runtime, queries, |q| {
         clean_by_reference(q, reference, config)
     });
-    resolve_remainder(queries, by_reference, geocoder, config, fallback)
-}
 
-/// Street-string deduplication accounting of the columnar cleaning pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreetDedupStats {
-    /// Addresses processed.
-    pub total: usize,
-    /// Distinct street strings — the number of Levenshtein reference scans
-    /// actually performed (the row path performs `total`).
-    pub distinct_streets: usize,
-}
-
-/// Dictionary-deduplicated variant of [`clean_addresses_degradable`]: the
-/// columnar engine's cleaning pass.
-///
-/// Levenshtein matching depends only on the street *string* and φ, so the
-/// reference scan runs once per **distinct** street (collected through an
-/// [`epc_columnar::SortedDict`], making the memo input-order invariant)
-/// instead of once per row. Real EPC street columns are heavily repetitive
-/// — the paper's collections hold tens of thousands of certificates over a
-/// few thousand streets — so this removes most of the cleaning cost. The
-/// per-row repair and the sequential geocoder fallback are unchanged, and
-/// the output is bitwise identical to the row path for any thread budget
-/// (gated by `tests/columnar.rs`).
-pub fn clean_addresses_columnar(
-    queries: &[AddressQuery],
-    reference: &StreetMap,
-    geocoder: Option<&dyn Geocoder>,
-    config: &CleaningConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-    fallback: Option<&DegradedFallback>,
-) -> (Vec<CleanedAddress>, CleaningReport, StreetDedupStats) {
-    // Dictionary over the distinct street strings of the batch.
-    let dict =
-        epc_columnar::SortedDict::from_labels(queries.iter().map(|q| q.address.street.as_str()));
-    let stats = StreetDedupStats {
-        total: queries.len(),
-        distinct_streets: dict.len(),
-    };
-
-    // Pass 1a (parallel, pure): one reference scan per distinct street.
-    let hits = epc_runtime::par_map(runtime, dict.labels(), |street| {
-        reference.best_match(street, config.phi)
-    });
-
-    // Pass 1b (parallel, pure): per-row repair from the memoized match.
-    let by_reference = epc_runtime::par_map(runtime, queries, |q| {
-        let hit = dict
-            .id_of(&q.address.street)
-            // lint:allow(D7): id < dict.len() by SortedDict construction and hits has exactly one entry per dictionary label (par_map over dict.labels())
-            .and_then(|id| hits[id as usize].as_ref());
-        clean_with_hit(q, hit, reference, config)
-    });
-
-    let (out, report) = resolve_remainder(queries, by_reference, geocoder, config, fallback);
-    (out, report, stats)
-}
-
-/// Pass 2 (sequential, input order): geocoder fallback for the addresses
-/// the reference could not resolve, plus report tallying. Shared verbatim
-/// by the row and columnar paths so their outputs can only differ if
-/// pass 1 differs.
-fn resolve_remainder(
-    queries: &[AddressQuery],
-    by_reference: Vec<Option<CleanedAddress>>,
-    geocoder: Option<&dyn Geocoder>,
-    config: &CleaningConfig,
-    fallback: Option<&DegradedFallback>,
-) -> (Vec<CleanedAddress>, CleaningReport) {
+    // Pass 2 (sequential, input order): geocoder fallback for the
+    // addresses the reference could not resolve, plus report tallying.
     let mut report = CleaningReport {
         total: queries.len(),
         ..CleaningReport::default()
@@ -363,19 +296,7 @@ fn clean_by_reference(
     reference: &StreetMap,
     config: &CleaningConfig,
 ) -> Option<CleanedAddress> {
-    let hit = reference.best_match(&q.address.street, config.phi);
-    clean_with_hit(q, hit.as_ref(), reference, config)
-}
-
-/// Step 2 alone: repairs `q` from an already-computed street match (the
-/// columnar path memoizes the match per distinct street string).
-fn clean_with_hit(
-    q: &AddressQuery,
-    hit: Option<&crate::streetmap::StreetMatch>,
-    reference: &StreetMap,
-    config: &CleaningConfig,
-) -> Option<CleanedAddress> {
-    let hit = hit?;
+    let hit = reference.best_match(&q.address.street, config.phi)?;
     let entry = reference.lookup(&hit.street_key, q.address.house_number.as_deref())?;
     Some(repair_from(
         q,
@@ -729,50 +650,6 @@ mod tests {
             );
             assert_eq!(par, seq, "threads = {threads}");
             assert_eq!(par_report, seq_report, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn columnar_dedup_cleaning_matches_row_path_bitwise() {
-        let truth = {
-            let mut t = reference();
-            t.insert(entry("Via Garibaldi", "7", "10122", 45.0730, 7.6820));
-            t
-        };
-        // Heavy street repetition (the shape dedup exploits), a quota
-        // small enough that geocoder consumption order is observable, and
-        // enough rows to cross par_map's per-thread minimum.
-        let streets = ["Via Roma", "via rma", "via garibaldi", "zzzzzz", "VIA ROMA"];
-        let queries: Vec<AddressQuery> = (0..160)
-            .map(|i| AddressQuery {
-                id: i,
-                address: Address::new(streets[i % streets.len()], Some("10"), None),
-                point: None,
-            })
-            .collect();
-        let row_geo = QuotaGeocoder::new(SimulatedGeocoder::new(truth.clone(), 0.6, 0.0), 9);
-        let (row, row_report) = clean_addresses_degradable(
-            &queries,
-            &reference(),
-            Some(&row_geo),
-            &cfg(),
-            &epc_runtime::RuntimeConfig::sequential(),
-            None,
-        );
-        for threads in [1usize, 2, 8] {
-            let col_geo = QuotaGeocoder::new(SimulatedGeocoder::new(truth.clone(), 0.6, 0.0), 9);
-            let (col, col_report, stats) = clean_addresses_columnar(
-                &queries,
-                &reference(),
-                Some(&col_geo),
-                &cfg(),
-                &epc_runtime::RuntimeConfig::new(threads),
-                None,
-            );
-            assert_eq!(col, row, "threads = {threads}");
-            assert_eq!(col_report, row_report, "threads = {threads}");
-            assert_eq!(stats.total, 160);
-            assert_eq!(stats.distinct_streets, streets.len());
         }
     }
 

@@ -94,7 +94,7 @@ pub fn write_atomic_path(path: &Path, contents: &[u8]) -> io::Result<ArtifactRec
 
 /// Fsyncs a directory so a completed rename survives power loss. On
 /// platforms where directories cannot be opened for sync this is a no-op.
-pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
     match fs::File::open(dir) {
         Ok(d) => d.sync_all(),
         Err(_) => Ok(()),

@@ -29,6 +29,6 @@ mod atomic;
 mod journal;
 mod sha256;
 
-pub use atomic::{write_atomic, write_atomic_path, ArtifactRecord};
+pub use atomic::{sync_dir, write_atomic, write_atomic_path, ArtifactRecord};
 pub use journal::{Journal, LoadedJournal, StageEntry, MANIFEST_FILE};
 pub use sha256::hash_hex;

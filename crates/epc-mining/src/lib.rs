@@ -34,7 +34,6 @@
 
 pub mod apriori;
 pub mod cart;
-pub mod columnar;
 pub mod dbscan;
 pub mod discretize;
 pub mod elbow;
@@ -50,7 +49,6 @@ pub mod support;
 
 pub use apriori::{Apriori, ItemDictionary, Itemset, TransactionSet};
 pub use cart::{CartConfig, RegressionTree};
-pub use columnar::feature_matrix;
 pub use dbscan::{dbscan, DbscanConfig, DbscanLabel, DbscanResult};
 pub use discretize::Discretizer;
 pub use elbow::{elbow_k, sse_curve};

@@ -37,66 +37,11 @@ use std::num::NonZeroUsize;
 /// Environment variable consulted by [`RuntimeConfig::from_env`].
 pub const THREADS_ENV_VAR: &str = "INDICE_THREADS";
 
-/// Environment variable selecting the storage engine ([`Engine`]).
-pub const ENGINE_ENV_VAR: &str = "INDICE_ENGINE";
-
-/// Which storage layout the pipeline's hot loops iterate.
-///
-/// Like the thread budget, the engine is an *execution* knob: outputs must
-/// be bitwise identical under either value (gated by the differential
-/// harness in `tests/columnar.rs`), so it lives beside `threads` rather
-/// than in the serialized pipeline configuration — it must never leak into
-/// checkpoints, journals, or artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Row-shaped iteration over `epc-model` datasets (the default).
-    #[default]
-    Row,
-    /// Columnar iteration over an `epc-columnar` store: dictionary-encoded
-    /// categoricals, compressed numeric blocks, zone-map block skipping.
-    Columnar,
-}
-
-impl Engine {
-    /// Strictly validates an `INDICE_ENGINE` value: `None` (unset) selects
-    /// the row engine, anything set must be `row` or `columnar`. Pure, so
-    /// rejection paths are unit-testable without touching process state.
-    pub fn parse(raw: Option<&str>) -> Result<Self, String> {
-        let Some(raw) = raw else {
-            return Ok(Engine::Row);
-        };
-        match raw.trim() {
-            "row" => Ok(Engine::Row),
-            "columnar" => Ok(Engine::Columnar),
-            other => Err(format!(
-                "{ENGINE_ENV_VAR} must be \"row\" or \"columnar\", got {other:?}"
-            )),
-        }
-    }
-
-    /// Like [`Engine::parse`] over the process environment, with malformed
-    /// values reported as errors.
-    pub fn try_from_env() -> Result<Self, String> {
-        let raw = std::env::var(ENGINE_ENV_VAR).ok();
-        Engine::parse(raw.as_deref())
-    }
-
-    /// Stable lower-case name, as accepted by [`Engine::parse`].
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Row => "row",
-            Engine::Columnar => "columnar",
-        }
-    }
-}
-
 /// Execution configuration shared by every parallel kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Worker-thread budget; `1` means fully sequential execution.
     pub threads: usize,
-    /// Storage engine the pipeline iterates ([`Engine::Row`] by default).
-    pub engine: Engine,
 }
 
 impl RuntimeConfig {
@@ -104,7 +49,6 @@ impl RuntimeConfig {
     pub fn new(threads: usize) -> Self {
         RuntimeConfig {
             threads: threads.max(1),
-            engine: Engine::Row,
         }
     }
 
@@ -113,29 +57,20 @@ impl RuntimeConfig {
         RuntimeConfig::new(1)
     }
 
-    /// The same thread budget with a different storage engine.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Reads the thread budget from the `INDICE_THREADS` environment
     /// variable; unset, empty, or unparsable values fall back to the
     /// machine default. `INDICE_THREADS=1` forces sequential execution.
-    /// The storage engine is read from `INDICE_ENGINE` the same way,
-    /// falling back to the row engine on malformed values.
     ///
     /// Prefer [`RuntimeConfig::try_from_env`] in user-facing entry points:
     /// it reports malformed values instead of silently ignoring them.
     pub fn from_env() -> Self {
-        let base = match std::env::var(THREADS_ENV_VAR) {
+        match std::env::var(THREADS_ENV_VAR) {
             Ok(v) => match v.trim().parse::<usize>() {
                 Ok(n) if n >= 1 => RuntimeConfig::new(n),
                 _ => RuntimeConfig::default(),
             },
             Err(_) => RuntimeConfig::default(),
-        };
-        base.with_engine(Engine::try_from_env().unwrap_or_default())
+        }
     }
 
     /// Strictly validates an `INDICE_THREADS` value: `None` (unset) is the
@@ -156,13 +91,11 @@ impl RuntimeConfig {
         }
     }
 
-    /// Like [`RuntimeConfig::from_env`], but malformed values (for either
-    /// `INDICE_THREADS` or `INDICE_ENGINE`) are an error instead of a
-    /// silent fallback.
+    /// Like [`RuntimeConfig::from_env`], but a malformed `INDICE_THREADS`
+    /// is an error instead of a silent fallback.
     pub fn try_from_env() -> Result<Self, String> {
         let raw = std::env::var(THREADS_ENV_VAR).ok();
-        let base = RuntimeConfig::parse_threads(raw.as_deref())?;
-        Ok(base.with_engine(Engine::try_from_env()?))
+        RuntimeConfig::parse_threads(raw.as_deref())
     }
 
     /// `true` when no worker threads will be spawned.
@@ -388,27 +321,6 @@ mod tests {
             let err = RuntimeConfig::parse_threads(Some(bad)).unwrap_err();
             assert!(err.contains(THREADS_ENV_VAR), "{err}");
         }
-    }
-
-    #[test]
-    fn parse_engine_accepts_known_names_and_rejects_others() {
-        assert_eq!(Engine::parse(None).unwrap(), Engine::Row);
-        assert_eq!(Engine::parse(Some("row")).unwrap(), Engine::Row);
-        assert_eq!(Engine::parse(Some(" columnar ")).unwrap(), Engine::Columnar);
-        for bad in ["", "ROW", "col", "columnar engine", "0"] {
-            let err = Engine::parse(Some(bad)).unwrap_err();
-            assert!(err.contains(ENGINE_ENV_VAR), "{err}");
-        }
-        assert_eq!(Engine::Row.label(), "row");
-        assert_eq!(Engine::Columnar.label(), "columnar");
-    }
-
-    #[test]
-    fn with_engine_only_changes_the_engine() {
-        let cfg = RuntimeConfig::new(4).with_engine(Engine::Columnar);
-        assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.engine, Engine::Columnar);
-        assert_eq!(RuntimeConfig::new(4).engine, Engine::Row);
     }
 
     #[test]

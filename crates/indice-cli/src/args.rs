@@ -76,11 +76,7 @@ pub enum Command {
         records: Vec<usize>,
         /// RNG seed for the synthetic collection.
         seed: u64,
-        /// Engines to run at each size (from `--engines row[,columnar]`).
-        /// With more than one, the snapshot carries a side-by-side
-        /// comparison and the run fails if their outputs diverge.
-        engines: Vec<epc_runtime::Engine>,
-        /// Output path for the indice-bench/2 snapshot.
+        /// Output path for the indice-bench/3 snapshot.
         out: String,
     },
     /// Print the auto-configuration advice for a collection.
@@ -187,8 +183,7 @@ USAGE:
              [--kill-city IDX [--kill-stage STAGE] [--kill-attempt N|all]] \\
              [--corrupt-city IDX [--fault-rate R]] [--fault-seed S] \\
              [--crash-at-city IDX:before|after]
-  indice bench --records N[,M...] [--seed S] \\
-             [--engines row[,columnar]] --out bench.json
+  indice bench --records N[,M...] [--seed S] --out bench.json
   indice suggest-config --data epcs.csv
   indice clean --data epcs.csv --streets street_map.txt --out cleaned.csv
   indice help
@@ -263,9 +258,7 @@ explicit \"unavailable\" panels).
 `bench` generates a synthetic collection in memory, runs the full
 observed pipeline at each `--records` size, and writes a benchmark
 snapshot (per-stage wall milliseconds and records/sec, peak shard
-imbalance) to `--out`. With `--engines row,columnar` every size runs
-once per engine; the snapshot carries the side-by-side numbers and the
-command fails if the engines' outputs are not identical.
+imbalance) to `--out`.
 
 `--fault-seed` / `--fault-rate` / `--geocode-fail-rate` attach a
 deterministic fault injector for chaos testing: the same seed and rates
@@ -277,11 +270,6 @@ ENVIRONMENT:
   INDICE_THREADS           thread budget for run/clean (default: all
                            hardware threads); outputs are identical for
                            any value
-  INDICE_ENGINE            execution engine, `row` (default) or
-                           `columnar`; outputs are byte-identical for
-                           either — the columnar engine only changes how
-                           scans, group-bys, cleaning, and clustering
-                           gather their data
   INDICE_GEOCODE_RETRIES   retry budget for transient geocoder failures
                            (default: 3)
   INDICE_STAGE_DEADLINE_MS per-stage wall-clock budget in milliseconds;
@@ -298,7 +286,43 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     if cmd == "fleet" {
         return parse_fleet(&args[1..]);
     }
-    let flags = parse_flags(&args[1..])?;
+    let accepted: &[&str] = match cmd.as_str() {
+        "help" | "--help" | "-h" => &[],
+        "generate" => &["records", "seed", "noise", "out-dir"],
+        "describe" | "suggest-config" => &["data"],
+        "run" => &[
+            "data",
+            "streets",
+            "regions",
+            "stakeholder",
+            "out-dir",
+            "resume",
+            "fault-seed",
+            "fault-rate",
+            "geocode-fail-rate",
+            "max-quarantine-frac",
+            "crash-at",
+            "metrics-out",
+            "trace-out",
+        ],
+        "bench" => &["records", "seed", "out"],
+        "ingest" => &[
+            "append",
+            "streets",
+            "regions",
+            "stakeholder",
+            "into",
+            "resume",
+            "recompute",
+            "crash-at-batch",
+            "fault-seed",
+            "fault-rate",
+            "corrupt-batches",
+        ],
+        "clean" => &["data", "streets", "out"],
+        other => return Err(unknown_command(other)),
+    };
+    let flags = parse_flags(&args[1..], cmd, accepted)?;
     let get = |name: &str| -> Result<&String, String> {
         flags
             .get(name)
@@ -401,26 +425,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 .map(|s| s.parse().map_err(|e| format!("--seed: {e}")))
                 .transpose()?
                 .unwrap_or(2024);
-            let engines: Vec<epc_runtime::Engine> = match flags.get("engines") {
-                None => vec![epc_runtime::Engine::Row],
-                Some(raw) => {
-                    let engines: Vec<epc_runtime::Engine> = raw
-                        .split(',')
-                        .map(|s| {
-                            epc_runtime::Engine::parse(Some(s.trim()))
-                                .map_err(|e| format!("--engines: {e}"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if engines.is_empty() {
-                        return Err("--engines must name at least one engine".into());
-                    }
-                    engines
-                }
-            };
             Ok(Command::Bench {
                 records,
                 seed,
-                engines,
                 out: get("out")?.clone(),
             })
         }
@@ -501,8 +508,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             streets: get("streets")?.clone(),
             out: get("out")?.clone(),
         }),
-        other => Err(format!("unknown command {other:?}; try `indice help`")),
+        other => Err(unknown_command(other)),
     }
+}
+
+fn unknown_command(cmd: &str) -> String {
+    format!("unknown command {cmd:?}; try `indice help`")
 }
 
 /// Parses the `fleet` sub-commands (`args` starts at the sub-command
@@ -517,7 +528,27 @@ fn parse_fleet(args: &[String]) -> Result<Command, String> {
         }
         None => return Err("fleet needs a sub-command: `indice fleet run ...`".into()),
     }
-    let flags = parse_flags(&args[1..])?;
+    let flags = parse_flags(
+        &args[1..],
+        "fleet run",
+        &[
+            "cities",
+            "records",
+            "seed",
+            "out-dir",
+            "resume",
+            "stakeholder",
+            "max-failed-cities",
+            "retry-budget",
+            "kill-city",
+            "kill-stage",
+            "kill-attempt",
+            "corrupt-city",
+            "fault-rate",
+            "fault-seed",
+            "crash-at-city",
+        ],
+    )?;
     let cities: usize = flags
         .get("cities")
         .ok_or("missing required flag --cities")?
@@ -691,14 +722,22 @@ fn parse_rate(flags: &HashMap<String, String>, name: &str) -> Result<f64, String
     Ok(rate)
 }
 
-/// Parses `--flag value` pairs.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--flag value` pairs, rejecting any flag `command` does not
+/// accept so a typo fails loudly instead of being silently ignored.
+fn parse_flags(
+    args: &[String],
+    command: &str,
+    accepted: &[&str],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("expected a --flag, got {arg:?}"));
         };
+        if !accepted.contains(&name) {
+            return Err(format!("unknown flag --{name} for {command}"));
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -1114,7 +1153,6 @@ mod tests {
             Command::Bench {
                 records: vec![800],
                 seed: 2024,
-                engines: vec![epc_runtime::Engine::Row],
                 out: "b.json".into(),
             }
         );
@@ -1124,8 +1162,6 @@ mod tests {
             "100,2500",
             "--seed",
             "9",
-            "--engines",
-            "row,columnar",
             "--out",
             "b.json",
         ]))
@@ -1135,7 +1171,6 @@ mod tests {
             Command::Bench {
                 records: vec![100, 2500],
                 seed: 9,
-                engines: vec![epc_runtime::Engine::Row, epc_runtime::Engine::Columnar],
                 out: "b.json".into(),
             }
         );
@@ -1143,16 +1178,38 @@ mod tests {
         assert!(parse_args(&v(&["bench", "--records", "0", "--out", "b.json"])).is_err());
         assert!(parse_args(&v(&["bench", "--records", "10,0", "--out", "b.json"])).is_err());
         assert!(parse_args(&v(&["bench", "--records", "10"])).is_err());
-        assert!(parse_args(&v(&[
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let err = parse_args(&v(&[
             "bench",
             "--records",
             "10",
             "--engines",
-            "vector",
+            "row",
             "--out",
-            "b.json"
+            "b.json",
         ]))
-        .is_err());
+        .unwrap_err();
+        assert_eq!(err, "unknown flag --engines for bench");
+        let err = parse_args(&run_args(&["--stakholder", "citizen"])).unwrap_err();
+        assert_eq!(err, "unknown flag --stakholder for run");
+        let err = parse_args(&v(&[
+            "fleet",
+            "run",
+            "--cities",
+            "2",
+            "--out-dir",
+            "f",
+            "--kill",
+            "0",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unknown flag --kill for fleet run");
+        // A flag valid for one command is still unknown to another.
+        let err = parse_args(&v(&["describe", "--data", "e.csv", "--out", "x"])).unwrap_err();
+        assert_eq!(err, "unknown flag --out for describe");
     }
 
     #[test]

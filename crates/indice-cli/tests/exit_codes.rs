@@ -208,10 +208,8 @@ fn bench_emits_snapshot_and_exits_by_outcome() {
     assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
     let snap = std::fs::read_to_string(&out).unwrap();
     for key in [
-        "\"schema\": \"indice-bench/2\"",
-        "\"engines_match\": true",
+        "\"schema\": \"indice-bench/3\"",
         "\"records\": 500",
-        "\"engine\": \"row\"",
         "\"stages\": [",
         "\"name\": \"preprocess\"",
         "\"name\": \"analytics\"",
@@ -224,33 +222,37 @@ fn bench_emits_snapshot_and_exits_by_outcome() {
     ] {
         assert!(snap.contains(key), "missing {key} in snapshot:\n{snap}");
     }
+    for key in ["\"engine\"", "\"engines\"", "\"engines_match\""] {
+        assert!(!snap.contains(key), "stale {key} in snapshot:\n{snap}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn bench_multi_engine_runs_match() {
-    let dir = tmp_dir("bench-engines");
-    let out = dir.join("BENCH_ENGINES.json");
+fn unknown_flag_fails_with_usage_and_writes_nothing() {
+    let dir = tmp_dir("unknown-flag");
+    let out = dir.join("gen");
     let o = run_cli(&[
-        "bench",
+        "generate",
         "--records",
-        "400",
+        "20",
         "--seed",
-        "5",
-        "--engines",
-        "row,columnar",
-        "--out",
+        "1",
+        "--out-dir",
         out.to_str().unwrap(),
+        "--recrods",
+        "999",
     ]);
-    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
-    let snap = std::fs::read_to_string(&out).unwrap();
-    for key in [
-        "\"schema\": \"indice-bench/2\"",
-        "\"engines_match\": true",
-        "\"engine\": \"row\"",
-        "\"engine\": \"columnar\"",
-    ] {
-        assert!(snap.contains(key), "missing {key} in snapshot:\n{snap}");
-    }
+    assert_eq!(o.status.code(), Some(1), "{}", stderr(&o));
+    let err = stderr(&o);
+    assert!(
+        err.starts_with("error: unknown flag --recrods for generate\n"),
+        "{err}"
+    );
+    assert!(
+        err.contains("USAGE:"),
+        "usage text follows the error: {err}"
+    );
+    assert!(!out.exists(), "a rejected invocation must not write output");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -157,38 +157,22 @@ pub fn analyze_observed_from(
     }
 
     // --- Feature matrix over complete rows ---
-    // Engine dispatch: the columnar path decodes each feature column once
-    // and gathers contiguously (epc_mining::columnar); rows and cell
-    // values are bit-identical to the per-cell row loop.
-    let (feature_rows, matrix) = match runtime.engine {
-        epc_runtime::Engine::Row => {
-            let mut feature_rows = Vec::new();
-            let mut data = Vec::new();
-            for r in 0..dataset.n_rows() {
-                let vals: Option<Vec<f64>> =
-                    feature_ids.iter().map(|&id| dataset.num(r, id)).collect();
-                if let Some(v) = vals {
-                    feature_rows.push(r);
-                    data.extend(v);
-                }
-            }
-            let n = feature_rows.len();
-            (feature_rows, Matrix::from_vec(data, n, feature_ids.len()))
+    let mut feature_rows = Vec::new();
+    let mut data = Vec::new();
+    for r in 0..dataset.n_rows() {
+        let vals: Option<Vec<f64>> = feature_ids.iter().map(|&id| dataset.num(r, id)).collect();
+        if let Some(v) = vals {
+            feature_rows.push(r);
+            data.extend(v);
         }
-        epc_runtime::Engine::Columnar => {
-            let store = epc_columnar::DatasetColumnarExt::to_columns(dataset);
-            if let Some(obs) = obs {
-                crate::columnar::record_store_stats(obs, &store.stats());
-            }
-            epc_mining::columnar::feature_matrix(&store, &feature_ids)
-        }
-    };
+    }
     if feature_rows.len() < 3 {
         return Err(IndiceError::Clustering(format!(
             "only {} complete rows",
             feature_rows.len()
         )));
     }
+    let matrix = Matrix::from_vec(data, feature_rows.len(), feature_ids.len());
     let (scaler, scaled) = MinMaxScaler::fit_transform(&matrix)
         .ok_or_else(|| IndiceError::Clustering("scaler fit on empty feature matrix".into()))?;
 

@@ -4,14 +4,11 @@
 
 use crate::analytics::AnalyticsOutput;
 use crate::error::IndiceError;
-use epc_columnar::{ColumnStore, DatasetColumnarExt};
 use epc_geo::point::GeoPoint;
 use epc_geo::region::RegionHierarchy;
 use epc_model::{wellknown as wk, Dataset, Granularity};
-use epc_query::aggregate::{group_by, AggFn, GroupRow};
-use epc_query::columnar::group_by_columnar;
+use epc_query::aggregate::{group_by, AggFn};
 use epc_query::stakeholder::{default_report_spec, ReportKind, ReportSpec, Stakeholder};
-use epc_runtime::Engine;
 use epc_stats::histogram::Histogram;
 use epc_viz::choropleth::ChoroplethMap;
 use epc_viz::clustermarker::ClusterMarkerMap;
@@ -47,38 +44,8 @@ pub fn build_dashboard(
     stakeholder: Stakeholder,
     top_k_rules: usize,
 ) -> Result<DashboardOutput, IndiceError> {
-    build_dashboard_with_engine(
-        dataset,
-        hierarchy,
-        analytics,
-        stakeholder,
-        top_k_rules,
-        Engine::Row,
-    )
-}
-
-/// [`build_dashboard`] with an explicit execution engine: under
-/// [`Engine::Columnar`] the per-area aggregations run as dictionary-id
-/// group-bys over a [`ColumnStore`]. The rendered dashboard and every
-/// artifact are byte-identical whichever engine produced them.
-pub fn build_dashboard_with_engine(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    analytics: &AnalyticsOutput,
-    stakeholder: Stakeholder,
-    top_k_rules: usize,
-    engine: Engine,
-) -> Result<DashboardOutput, IndiceError> {
     let spec = default_report_spec(stakeholder);
-    build_dashboard_spec_core(
-        dataset,
-        hierarchy,
-        Some(analytics),
-        &spec,
-        top_k_rules,
-        &[],
-        engine,
-    )
+    build_dashboard_spec_core(dataset, hierarchy, Some(analytics), &spec, top_k_rules, &[])
 }
 
 /// Builds the dashboard from an explicit report spec.
@@ -89,15 +56,7 @@ pub fn build_dashboard_with_spec(
     spec: &ReportSpec,
     top_k_rules: usize,
 ) -> Result<DashboardOutput, IndiceError> {
-    build_dashboard_spec_core(
-        dataset,
-        hierarchy,
-        Some(analytics),
-        spec,
-        top_k_rules,
-        &[],
-        Engine::Row,
-    )
+    build_dashboard_spec_core(dataset, hierarchy, Some(analytics), spec, top_k_rules, &[])
 }
 
 /// Builds a *degraded* dashboard when the analytics stage is unavailable:
@@ -111,58 +70,13 @@ pub fn build_dashboard_degraded(
     top_k_rules: usize,
     reasons: &[String],
 ) -> Result<DashboardOutput, IndiceError> {
-    build_dashboard_degraded_with_engine(
-        dataset,
-        hierarchy,
-        stakeholder,
-        top_k_rules,
-        reasons,
-        Engine::Row,
-    )
-}
-
-/// [`build_dashboard_degraded`] with an explicit execution engine.
-pub fn build_dashboard_degraded_with_engine(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    stakeholder: Stakeholder,
-    top_k_rules: usize,
-    reasons: &[String],
-    engine: Engine,
-) -> Result<DashboardOutput, IndiceError> {
     let spec = default_report_spec(stakeholder);
-    build_dashboard_spec_core(
-        dataset,
-        hierarchy,
-        None,
-        &spec,
-        top_k_rules,
-        reasons,
-        engine,
-    )
-}
-
-/// Mean of `value_attr` grouped by `group_attr`, through whichever engine
-/// is selected. Row and columnar results are identical (gated by
-/// `tests/columnar.rs`); the store, when given, must be built from
-/// `dataset`.
-fn mean_by_group(
-    dataset: &Dataset,
-    store: Option<&ColumnStore>,
-    group_attr: &str,
-    value_attr: &str,
-) -> Result<Vec<GroupRow>, IndiceError> {
-    let rows = match store {
-        Some(store) => group_by_columnar(store, group_attr, value_attr, &[AggFn::Mean])?,
-        None => group_by(dataset, group_attr, value_attr, &[AggFn::Mean])?,
-    };
-    Ok(rows)
+    build_dashboard_spec_core(dataset, hierarchy, None, &spec, top_k_rules, reasons)
 }
 
 /// The shared dashboard builder. With `analytics = Some(..)` this is the
 /// full §2.3 dashboard; with `None`, analytics-dependent panels are
 /// replaced by one "Analytics unavailable" notice.
-#[allow(clippy::too_many_arguments)]
 fn build_dashboard_spec_core(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,
@@ -170,10 +84,7 @@ fn build_dashboard_spec_core(
     spec: &ReportSpec,
     top_k_rules: usize,
     degradation_reasons: &[String],
-    engine: Engine,
 ) -> Result<DashboardOutput, IndiceError> {
-    // One store serves every group-by of this dashboard.
-    let store = (engine == Engine::Columnar).then(|| dataset.to_columns());
     let mut dashboard = Dashboard::new(
         &format!("INDICE — {}", hierarchy.city),
         &format!("{} · {} level", spec.stakeholder.name(), spec.granularity),
@@ -194,7 +105,7 @@ fn build_dashboard_spec_core(
                     Granularity::District => wk::DISTRICT,
                     _ => wk::NEIGHBOURHOOD,
                 };
-                let rows = mean_by_group(dataset, store.as_ref(), group_attr, &spec.response)?;
+                let rows = group_by(dataset, group_attr, &spec.response, &[AggFn::Mean])?;
                 let means: BTreeMap<&str, f64> = rows
                     .iter()
                     .filter_map(|r| r.values[0].map(|v| (r.group.as_str(), v)))
@@ -468,7 +379,6 @@ pub fn drilldown_series_detailed_with_runtime(
                 stakeholder,
                 top_k_rules,
                 level,
-                runtime.engine,
             )?;
             Ok(ZoomPage {
                 level,
@@ -482,7 +392,6 @@ pub fn drilldown_series_detailed_with_runtime(
 
 /// Renders the single zoom-level page of the drill-down series, nav bar
 /// included. Returns the page plus its marker count.
-#[allow(clippy::too_many_arguments)]
 fn render_zoom_page(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,
@@ -490,21 +399,13 @@ fn render_zoom_page(
     stakeholder: Stakeholder,
     top_k_rules: usize,
     level: Granularity,
-    engine: Engine,
 ) -> Result<(String, usize), IndiceError> {
     let spec = ReportSpec {
         granularity: level,
         ..default_report_spec(stakeholder)
     };
-    let out = build_dashboard_spec_core(
-        dataset,
-        hierarchy,
-        Some(analytics),
-        &spec,
-        top_k_rules,
-        &[],
-        engine,
-    )?;
+    let out =
+        build_dashboard_spec_core(dataset, hierarchy, Some(analytics), &spec, top_k_rules, &[])?;
     let mut html = out.dashboard.render_html();
     // Inject the zoom-navigation bar right after the header.
     let nav: String = {
@@ -536,24 +437,12 @@ pub fn figure2_maps(
     hierarchy: &RegionHierarchy,
     attribute: &str,
 ) -> Result<BTreeMap<String, String>, IndiceError> {
-    figure2_maps_with_engine(dataset, hierarchy, attribute, Engine::Row)
-}
-
-/// [`figure2_maps`] with an explicit execution engine; the rendered SVGs
-/// are byte-identical either way.
-pub fn figure2_maps_with_engine(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    attribute: &str,
-    engine: Engine,
-) -> Result<BTreeMap<String, String>, IndiceError> {
-    let store = (engine == Engine::Columnar).then(|| dataset.to_columns());
     let mut artifacts = BTreeMap::new();
     let label = response_axis_label(dataset, attribute);
     let points = certificate_points(dataset, attribute)?;
 
     // Upper row: choropleth (neighbourhood) + scatter (single certificate).
-    let rows = mean_by_group(dataset, store.as_ref(), wk::NEIGHBOURHOOD, attribute)?;
+    let rows = group_by(dataset, wk::NEIGHBOURHOOD, attribute, &[AggFn::Mean])?;
     let means: BTreeMap<&str, f64> = rows
         .iter()
         .filter_map(|r| r.values[0].map(|v| (r.group.as_str(), v)))

@@ -15,8 +15,7 @@
 use crate::analytics::AnalyticsOutput;
 use crate::config::IndiceConfig;
 use crate::dashboard::{
-    build_dashboard_degraded_with_engine, build_dashboard_with_engine,
-    drilldown_series_detailed_with_runtime,
+    build_dashboard, build_dashboard_degraded, drilldown_series_detailed_with_runtime,
 };
 use crate::error::IndiceError;
 use crate::preprocess::{preprocess_observed, PreprocessOutput};
@@ -174,26 +173,10 @@ impl Stage for PreprocessStage {
     }
 
     fn run(&self, ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
-        // Data selection: the case study filters on E.1.1. Under the
-        // columnar engine the predicate runs as a selection-bitmap scan
-        // with zone-map block skipping; matching rows are identical.
+        // Data selection: the case study filters on E.1.1.
         let selected = match &ctx.config.building_category {
             Some(cat) => {
-                let query = Query::filtered(Predicate::eq(wk::BUILDING_CATEGORY, cat));
-                match ctx.runtime.engine {
-                    epc_runtime::Engine::Row => query.run(ctx.dataset)?,
-                    epc_runtime::Engine::Columnar => {
-                        let store = epc_columnar::DatasetColumnarExt::to_columns(ctx.dataset);
-                        let mut scan = epc_columnar::ScanStats::default();
-                        let rows =
-                            epc_query::columnar::matching_rows_columnar(&query, &store, &mut scan)?;
-                        if let Some(obs) = ctx.obs {
-                            crate::columnar::record_store_stats(obs, &store.stats());
-                            crate::columnar::record_scan_stats(obs, &scan);
-                        }
-                        ctx.dataset.select_rows(&rows)?
-                    }
-                }
+                Query::filtered(Predicate::eq(wk::BUILDING_CATEGORY, cat)).run(ctx.dataset)?
             }
             None => ctx.dataset.clone(),
         };
@@ -280,13 +263,12 @@ impl Stage for DashboardStage {
                 .iter()
                 .map(|s| format!("stage '{s}' failed and was skipped"))
                 .collect();
-            let out = build_dashboard_degraded_with_engine(
+            let out = build_dashboard_degraded(
                 cleaned,
                 ctx.hierarchy,
                 ctx.stakeholder,
                 ctx.config.rule_stage.top_k,
                 &reasons,
-                ctx.runtime.engine,
             )?;
             if let Some(obs) = ctx.obs {
                 obs.point("dashboard:main", &[("markers", out.n_markers.into())]);
@@ -301,13 +283,12 @@ impl Stage for DashboardStage {
                 records_out,
             });
         };
-        let out = build_dashboard_with_engine(
+        let out = build_dashboard(
             cleaned,
             ctx.hierarchy,
             analytics,
             ctx.stakeholder,
             ctx.config.rule_stage.top_k,
-            ctx.runtime.engine,
         )?;
         if let Some(obs) = ctx.obs {
             obs.point("dashboard:main", &[("markers", out.n_markers.into())]);
