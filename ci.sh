@@ -269,6 +269,35 @@ if want fleet; then
     fi
   done
 
+  echo "== fleet: torn fleet journal is reported and resumes byte-identically =="
+  # Kill the coordinator after city 1 commits, then cut the journal's last
+  # line (that commit) in half — the state a kill during the append leaves.
+  # The resume must warn about the discarded tail and still finish with a
+  # tree byte-identical to the uninterrupted fleet's.
+  dir="$FLEET_DIR/run-torn"
+  set +e
+  "$INDICE" "${fleet_args[@]}" --out-dir "$dir" --crash-at-city 1:after \
+    >/dev/null 2>&1
+  code=$?
+  set -e
+  if [ "$code" -ne 70 ]; then
+    echo "FAIL: --crash-at-city 1:after exited $code (expected 70)" >&2
+    exit 1
+  fi
+  journal="$dir/fleet.manifest.jsonl"
+  size=$(wc -c < "$journal")
+  last_line=$(tail -n 1 "$journal" | wc -c)
+  truncate -s $((size - last_line / 2)) "$journal"
+  "$INDICE" "${fleet_args[@]}" --resume "$dir" >/dev/null 2>"$FLEET_DIR/torn.err"
+  if ! grep -q "fleet journal .* torn trailing line" "$FLEET_DIR/torn.err"; then
+    echo "FAIL: resume over a torn fleet journal printed no warning" >&2
+    exit 1
+  fi
+  if [ "$(tree_hash "$dir")" != "$baseline_hash" ]; then
+    echo "FAIL: resume over a torn fleet journal is not byte-identical to baseline" >&2
+    exit 1
+  fi
+
   echo "== fleet: degraded fleet keeps surviving cities byte-identical =="
   set +e
   "$INDICE" "${fleet_args[@]}" --out-dir "$FLEET_DIR/degraded" \

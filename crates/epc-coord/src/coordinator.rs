@@ -16,8 +16,8 @@
 //! an uninterrupted run's.
 
 use crate::backoff::RetryPolicy;
-use crate::journal::{FleetEvent, FleetJournal};
-use epc_journal::ArtifactRecord;
+use crate::journal::{FleetEvent, FLEET_MANIFEST_FILE};
+use epc_journal::{ArtifactRecord, Journal};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -204,6 +204,10 @@ pub struct FleetResult {
     pub journal_hits: Vec<String>,
     /// Cities executed (or re-executed) by this call, plan order.
     pub replayed: Vec<String>,
+    /// `true` when loading the fleet journal on resume discarded a torn
+    /// trailing line (a crash-during-append artifact). The affected city
+    /// replays; the flag lets the caller warn instead of staying silent.
+    pub recovered_torn_tail: bool,
 }
 
 fn io_err(e: std::io::Error) -> CoordError {
@@ -311,12 +315,15 @@ pub fn run_fleet(
             opts.dir.display()
         ))
     })?;
-    let journal = FleetJournal::at(&opts.dir);
+    let journal = Journal::<FleetEvent>::open(&opts.dir, FLEET_MANIFEST_FILE);
 
     // Resume: validate committed groups, drop everything else.
     let mut hits: BTreeMap<String, JournalHit> = BTreeMap::new();
+    let mut recovered_torn_tail = false;
     if opts.resume {
-        let mut groups = group_events(journal.load().map_err(io_err)?);
+        let loaded = journal.load().map_err(io_err)?;
+        recovered_torn_tail = loaded.recovered_torn_tail;
+        let mut groups = group_events(loaded.entries);
         for city in cities {
             if let Some(events) = groups.remove(city) {
                 if let Some(report) = validate_group(city, &events, &opts.fingerprint, &opts.dir) {
@@ -357,7 +364,7 @@ pub fn run_fleet(
         }
         replayed.push(city.clone());
         let mut events = Vec::new();
-        let push = |journal: &FleetJournal,
+        let push = |journal: &Journal<FleetEvent>,
                     events: &mut Vec<FleetEvent>,
                     event: FleetEvent|
          -> Result<(), CoordError> {
@@ -516,6 +523,7 @@ pub fn run_fleet(
         shards,
         journal_hits,
         replayed,
+        recovered_torn_tail,
     })
 }
 
@@ -621,7 +629,10 @@ mod tests {
         let b = &result.shards[1];
         assert_eq!(b.attempts, 2);
         assert_eq!(b.backoff_ms.len(), 1);
-        let events = FleetJournal::at(&dir).load().unwrap();
+        let events = Journal::<FleetEvent>::open(&dir, FLEET_MANIFEST_FILE)
+            .load()
+            .unwrap()
+            .entries;
         assert!(events.iter().any(|e| e.city == "b" && e.kind == "retried"));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -714,12 +725,38 @@ mod tests {
         assert_eq!(resumed.journal_hits, vec!["a".to_owned()]);
         assert_eq!(resumed.replayed, vec!["b".to_owned(), "c".to_owned()]);
         assert!(resumed.shards[0].from_journal);
+        assert!(!resumed.recovered_torn_tail);
 
-        let a = fs::read(FleetJournal::at(&baseline_dir).path()).unwrap();
-        let b = fs::read(FleetJournal::at(&crashed_dir).path()).unwrap();
+        let a = fs::read(baseline_dir.join(FLEET_MANIFEST_FILE)).unwrap();
+        let b = fs::read(crashed_dir.join(FLEET_MANIFEST_FILE)).unwrap();
         assert_eq!(a, b, "resumed fleet journal must match uninterrupted");
         fs::remove_dir_all(&baseline_dir).unwrap();
         fs::remove_dir_all(&crashed_dir).unwrap();
+    }
+
+    #[test]
+    fn torn_fleet_journal_is_reported_and_the_city_replays() {
+        let dir = temp_dir();
+        let plan = cities(&["a", "b"]);
+        run_fleet(
+            &plan,
+            &FleetOptions::new(&dir, "fp"),
+            &MockRunner::new(&dir),
+        )
+        .unwrap();
+        // Cut the last line (city b's commit) in half.
+        let path = dir.join(FLEET_MANIFEST_FILE);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::write(&path, &text[..text.len() - 20]).unwrap();
+
+        let mut opts = FleetOptions::new(&dir, "fp");
+        opts.resume = true;
+        let resumed = run_fleet(&plan, &opts, &MockRunner::new(&dir)).unwrap();
+        assert!(resumed.recovered_torn_tail, "a torn tail must be reported");
+        assert_eq!(resumed.journal_hits, vec!["a".to_owned()]);
+        assert_eq!(resumed.replayed, vec!["b".to_owned()]);
+        assert_eq!(fs::read_to_string(&path).unwrap(), text);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   recorded schedule.
 //! * **Crash-safe partial results** — shard lifecycle events
 //!   (`scheduled`/`started`/`retried`/`committed`/`abandoned`) are
-//!   journaled through the same append-fsync discipline as
-//!   [`epc_journal`]; a committed city's artifacts are hash-verified on
+//!   journaled through the same [`epc_journal::Journal`] as every other
+//!   durable surface; a committed city's artifacts are hash-verified on
 //!   resume and only abandoned/unfinished cities replay. Shards that
 //!   exhaust the budget degrade the [`FleetOutcome`] to a partial result
 //!   with per-city provenance instead of failing the run.
@@ -38,4 +38,4 @@ pub use coordinator::{
     run_fleet, CoordCrash, CoordError, FleetOptions, FleetOutcome, FleetResult, ShardAttempt,
     ShardReport, ShardRunner, ShardStatus,
 };
-pub use journal::{FleetEvent, FleetJournal, FLEET_MANIFEST_FILE};
+pub use journal::{FleetEvent, FLEET_MANIFEST_FILE};

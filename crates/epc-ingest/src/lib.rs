@@ -3,9 +3,10 @@
 //! Crash-safe incremental ingest for the INDICE pipeline: a run directory
 //! becomes a sequence of sealed **generations**, one per ingested
 //! micro-batch, committed by an append-fsync'd line in
-//! `generations.manifest.jsonl` (the same append-then-fsync commit-point
-//! discipline as `epc-journal`'s run manifest — the manifest line *is* the
-//! commit; everything it references must already be durable).
+//! `generations.manifest.jsonl` — an [`epc_journal::Journal`] of
+//! [`GenerationEntry`] lines, the same journal as the run manifest: the
+//! manifest line *is* the commit; everything it references must already
+//! be durable.
 //!
 //! Layout of an ingest run directory:
 //!
@@ -23,8 +24,8 @@
 //! records the chain hash of its parent — so a resuming ingest can prove
 //! the sealed prefix it is folding is exactly the one that was committed.
 //!
-//! This crate holds the *bookkeeping*: the generation grammar, manifest
-//! I/O, chain validation, and directory layout. The pipeline-aware runner
+//! This crate holds the *bookkeeping*: the generation grammar, chain
+//! validation, and directory layout. The pipeline-aware runner
 //! (cleaning deltas, mergeable analytics, dashboard regeneration) lives in
 //! `indice::generations`.
 
@@ -35,4 +36,4 @@ pub use generation::{
     gen_dir, gen_dir_name, validate_chain, GenerationEntry, GenerationOutcome, CURRENT_DIR,
     GENESIS, GENS_DIR,
 };
-pub use manifest::{write_delta, GenerationManifest, LoadedGenerations, GENERATIONS_FILE};
+pub use manifest::GENERATIONS_FILE;

@@ -1,146 +1,27 @@
-//! The append-only generation manifest (`generations.manifest.jsonl`).
+//! The generation manifest (`generations.manifest.jsonl`).
 //!
-//! Same commit-point discipline as `epc-journal`'s run manifest: one JSON
+//! The manifest is an [`epc_journal::Journal<GenerationEntry>`]: one JSON
 //! line per sealed generation, appended and fsync'd *after* the
 //! generation's checkpoint deltas and the rebuilt `current/` artifacts are
-//! durable. Loading tolerates a torn tail and reports it instead of
-//! swallowing it.
-
-use crate::generation::{validate_chain, GenerationEntry};
-use epc_journal::{write_atomic, write_atomic_path};
-use std::fs::OpenOptions;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+//! durable, with the journal's torn-tail policy (truncate at the first
+//! unparsable line and report it). A resuming ingest loads it and checks
+//! the sealed prefix with [`crate::validate_chain`] before folding any
+//! delta.
+//!
+//! [`GenerationEntry`]: crate::GenerationEntry
 
 /// File name of the generation manifest inside an ingest run directory.
 pub const GENERATIONS_FILE: &str = "generations.manifest.jsonl";
-
-/// What [`GenerationManifest::load`] recovered.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadedGenerations {
-    /// The valid entry prefix (up to the first unparsable line).
-    pub entries: Vec<GenerationEntry>,
-    /// `true` when trailing bytes failed to parse — a torn append was
-    /// discarded to recover `entries`.
-    pub recovered_torn_tail: bool,
-}
-
-/// Handle to an ingest run directory's generation manifest.
-#[derive(Debug, Clone)]
-pub struct GenerationManifest {
-    dir: PathBuf,
-}
-
-impl GenerationManifest {
-    /// The manifest of `run_dir` (the file itself may not exist yet).
-    pub fn at(run_dir: &Path) -> Self {
-        GenerationManifest {
-            dir: run_dir.to_path_buf(),
-        }
-    }
-
-    /// Full path of the manifest file.
-    pub fn path(&self) -> PathBuf {
-        self.dir.join(GENERATIONS_FILE)
-    }
-
-    /// Loads all parsable entries. A missing file is an empty manifest;
-    /// the first unparsable line truncates the result (torn tail) and
-    /// sets [`LoadedGenerations::recovered_torn_tail`].
-    pub fn load(&self) -> io::Result<LoadedGenerations> {
-        let text = match std::fs::read_to_string(self.path()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok(LoadedGenerations {
-                    entries: Vec::new(),
-                    recovered_torn_tail: false,
-                })
-            }
-            Err(e) => return Err(e),
-        };
-        let mut entries = Vec::new();
-        let mut recovered_torn_tail = false;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<GenerationEntry>(line) {
-                Ok(entry) => entries.push(entry),
-                Err(_) => {
-                    recovered_torn_tail = true;
-                    break;
-                }
-            }
-        }
-        Ok(LoadedGenerations {
-            entries,
-            recovered_torn_tail,
-        })
-    }
-
-    /// Appends one entry (one JSON line) and fsyncs — the generation's
-    /// commit point. The entry's checkpoints and the rebuilt cumulative
-    /// artifacts must already be durable when this is called.
-    pub fn append(&self, entry: &GenerationEntry) -> io::Result<()> {
-        let line = serde_json::to_string(entry)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path())?;
-        f.write_all(line.as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_all()?;
-        drop(f);
-        // Durably record the file's existence in its directory (first
-        // append creates it). write_atomic_path's parent-sync helper is
-        // private, so sync the directory by opening it directly.
-        let d = std::fs::File::open(&self.dir)?;
-        d.sync_all()
-    }
-
-    /// Atomically replaces the manifest with exactly `entries` — used
-    /// when resume validation rejects a suffix and the ingest re-seals
-    /// from there.
-    pub fn rewrite(&self, entries: &[GenerationEntry]) -> io::Result<()> {
-        let mut text = String::new();
-        for entry in entries {
-            let line = serde_json::to_string(entry)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            text.push_str(&line);
-            text.push('\n');
-        }
-        write_atomic(&self.dir, GENERATIONS_FILE, text.as_bytes())?;
-        Ok(())
-    }
-
-    /// Loads the manifest and validates the sealed prefix's hash chain,
-    /// returning the entries plus the chain tip the next generation must
-    /// record as its parent. Chain violations are `InvalidData` errors —
-    /// a tampered manifest must never be silently folded.
-    pub fn load_validated(&self) -> io::Result<(LoadedGenerations, String)> {
-        let loaded = self.load()?;
-        let tip = validate_chain(&loaded.entries)
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?;
-        Ok((loaded, tip))
-    }
-}
-
-/// Writes `contents` to `path` with the crate's atomic discipline —
-/// re-exported convenience so runner code checkpointing generation deltas
-/// under `gens/gen-%05d/` does not need to depend on `epc-journal`
-/// directly.
-pub fn write_delta(path: &Path, contents: &[u8]) -> io::Result<epc_journal::ArtifactRecord> {
-    write_atomic_path(path, contents)
-}
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::generation::{GenerationOutcome, GENESIS};
+    use crate::generation::{validate_chain, GenerationEntry, GenerationOutcome, GENESIS};
+    use epc_journal::Journal;
     use std::collections::BTreeMap;
     use std::fs;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -177,7 +58,11 @@ mod tests {
         }
     }
 
-    fn seal(m: &GenerationManifest, n: usize) -> Vec<GenerationEntry> {
+    fn manifest(dir: &Path) -> Journal<GenerationEntry> {
+        Journal::open(dir, GENERATIONS_FILE)
+    }
+
+    fn seal(m: &Journal<GenerationEntry>, n: usize) -> Vec<GenerationEntry> {
         let mut parent = GENESIS.to_owned();
         let mut out = Vec::new();
         for seq in 0..n {
@@ -192,7 +77,7 @@ mod tests {
     #[test]
     fn append_then_load_round_trips() {
         let dir = temp_dir();
-        let m = GenerationManifest::at(&dir);
+        let m = manifest(&dir);
         let loaded = m.load().unwrap();
         assert!(loaded.entries.is_empty());
         assert!(!loaded.recovered_torn_tail);
@@ -206,7 +91,7 @@ mod tests {
     #[test]
     fn torn_tail_is_discarded_and_reported() {
         let dir = temp_dir();
-        let m = GenerationManifest::at(&dir);
+        let m = manifest(&dir);
         let sealed = seal(&m, 2);
         let text = fs::read_to_string(m.path()).unwrap();
         fs::write(m.path(), &text[..text.len() - 25]).unwrap();
@@ -216,30 +101,34 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Load, then check the hash chain — the sequence `ingest` runs before
+    /// folding any sealed delta.
     #[test]
     fn load_validated_returns_the_chain_tip() {
         let dir = temp_dir();
-        let m = GenerationManifest::at(&dir);
-        let (loaded, tip) = m.load_validated().unwrap();
+        let m = manifest(&dir);
+        let loaded = m.load().unwrap();
         assert!(loaded.entries.is_empty());
-        assert_eq!(tip, GENESIS);
+        assert_eq!(validate_chain(&loaded.entries).unwrap(), GENESIS);
         let sealed = seal(&m, 3);
-        let (loaded, tip) = m.load_validated().unwrap();
+        let loaded = m.load().unwrap();
         assert_eq!(loaded.entries.len(), 3);
-        assert_eq!(tip, sealed[2].chain_hash());
+        assert_eq!(
+            validate_chain(&loaded.entries).unwrap(),
+            sealed[2].chain_hash()
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn load_validated_rejects_a_tampered_prefix() {
         let dir = temp_dir();
-        let m = GenerationManifest::at(&dir);
+        let m = manifest(&dir);
         let mut sealed = seal(&m, 3);
         sealed[1].records_kept = 999; // tamper, then rewrite the file
         m.rewrite(&sealed).unwrap();
-        let err = m.load_validated().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("hash chain"));
+        let err = validate_chain(&m.load().unwrap().entries).unwrap_err();
+        assert!(err.contains("hash chain"));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -247,8 +136,8 @@ mod tests {
     fn rewrite_truncates_to_prefix_and_manifest_bytes_are_deterministic() {
         let dir_a = temp_dir();
         let dir_b = temp_dir();
-        let ma = GenerationManifest::at(&dir_a);
-        let mb = GenerationManifest::at(&dir_b);
+        let ma = manifest(&dir_a);
+        let mb = manifest(&dir_b);
         let sealed = seal(&ma, 3);
         seal(&mb, 3);
         ma.rewrite(&sealed[..2]).unwrap();
@@ -261,16 +150,5 @@ mod tests {
         assert_eq!(ma.load().unwrap().entries, sealed[..2]);
         fs::remove_dir_all(&dir_a).unwrap();
         fs::remove_dir_all(&dir_b).unwrap();
-    }
-
-    #[test]
-    fn write_delta_creates_parents_and_verifies() {
-        let dir = temp_dir();
-        let path = dir.join("gens/gen-00000/clean.delta.json");
-        let rec = write_delta(&path, b"{\"x\":1}").unwrap();
-        assert_eq!(rec.bytes, 7);
-        let bytes = rec.read_verified(&dir.join("gens/gen-00000")).unwrap();
-        assert_eq!(bytes, b"{\"x\":1}");
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,11 +1,12 @@
-//! The append-only run journal (`run.manifest.jsonl`).
+//! The append-only JSONL journal, generic over its entry type.
 //!
-//! One JSON line per committed pipeline stage, appended *after* the
-//! stage's checkpoint files are durably on disk — the journal line is the
-//! commit point. Loading tolerates a torn tail: a final line that does
-//! not parse (the classic crash-during-append artifact) is discarded
-//! along with everything after the first unparsable line, and the run
-//! simply replays from there.
+//! One JSON line per committed unit of work — a pipeline stage
+//! ([`StageEntry`] in `run.manifest.jsonl`), a fleet shard event, or a
+//! sealed ingest generation — appended *after* everything the line
+//! references is durably on disk: the journal line is the commit point.
+//! Loading tolerates a torn tail: the first line that does not parse (the
+//! classic crash-during-append artifact) truncates the result, and
+//! [`LoadedJournal::recovered_torn_tail`] reports that it happened.
 //!
 //! Entries are pure functions of the run's inputs and configuration — no
 //! timestamps, no host names, no durations — so the journal of a resumed
@@ -16,6 +17,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::{self, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// File name of the journal inside a run directory.
@@ -61,57 +63,68 @@ pub struct StageEntry {
 /// warns, the observability layer counts it, and operators can tell a
 /// clean resume from one that discarded a half-written commit line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LoadedJournal {
+pub struct LoadedJournal<E = StageEntry> {
     /// The valid entry prefix (everything up to the first unparsable
     /// line).
-    pub entries: Vec<StageEntry>,
+    pub entries: Vec<E>,
     /// `true` when the file held trailing bytes that did not parse as an
     /// entry — a torn append (or interior corruption) was discarded to
     /// recover `entries`.
     pub recovered_torn_tail: bool,
 }
 
-/// Handle to a run directory's journal file.
+/// Handle to one journal file. `E` is the entry type, one JSON line each.
 #[derive(Debug, Clone)]
-pub struct Journal {
+pub struct Journal<E = StageEntry> {
     dir: PathBuf,
+    file: String,
+    entry: PhantomData<fn() -> E>,
 }
 
-impl Journal {
-    /// The journal of `run_dir` (the file itself may not exist yet).
+impl Journal<StageEntry> {
+    /// The run journal (`run.manifest.jsonl`) of `run_dir` (the file
+    /// itself may not exist yet).
     pub fn at(run_dir: &Path) -> Self {
+        Journal::open(run_dir, MANIFEST_FILE)
+    }
+}
+
+impl<E: Serialize + Deserialize> Journal<E> {
+    /// The journal stored as `file` inside `dir` (the file itself may not
+    /// exist yet).
+    pub fn open(dir: &Path, file: &str) -> Self {
         Journal {
-            dir: run_dir.to_path_buf(),
+            dir: dir.to_path_buf(),
+            file: file.to_owned(),
+            entry: PhantomData,
         }
     }
 
-    /// Full path of the manifest file.
+    /// Full path of the journal file.
     pub fn path(&self) -> PathBuf {
-        self.dir.join(MANIFEST_FILE)
+        self.dir.join(&self.file)
+    }
+
+    /// Prefixes an I/O error with what was being done and the journal
+    /// path, so multi-directory runs say *where* they failed.
+    fn named(&self, what: &str, e: io::Error) -> io::Error {
+        io::Error::new(e.kind(), format!("{what} {}: {e}", self.path().display()))
     }
 
     /// Loads all parsable entries. A missing file is an empty journal;
     /// the first unparsable line truncates the result (torn tail) and
     /// sets [`LoadedJournal::recovered_torn_tail`] so the recovery is
     /// visible to the caller instead of silently discarded.
-    pub fn load(&self) -> io::Result<LoadedJournal> {
+    pub fn load(&self) -> io::Result<LoadedJournal<E>> {
         let text = match std::fs::read_to_string(self.path()) {
             Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok(LoadedJournal {
-                    entries: Vec::new(),
-                    recovered_torn_tail: false,
-                })
-            }
-            Err(e) => return Err(e),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(self.named("reading journal", e)),
         };
         let mut entries = Vec::new();
         let mut recovered_torn_tail = false;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<StageEntry>(line) {
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            match serde_json::from_str::<E>(line) {
                 Ok(entry) => entries.push(entry),
                 Err(_) => {
                     recovered_torn_tail = true;
@@ -125,26 +138,39 @@ impl Journal {
         })
     }
 
-    /// Appends one entry (one JSON line) and fsyncs — the stage's commit
-    /// point. Checkpoint files must already be durable when this is
-    /// called.
-    pub fn append(&self, entry: &StageEntry) -> io::Result<()> {
-        let line = serde_json::to_string(entry)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path())?;
-        f.write_all(line.as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_all()?;
-        drop(f);
-        sync_dir(&self.dir)
+    /// Appends one entry (one JSON line) and fsyncs the file and its
+    /// directory — the commit point. Everything the entry references must
+    /// already be durable when this is called.
+    pub fn append(&self, entry: &E) -> io::Result<()> {
+        let append = || -> io::Result<()> {
+            let line = Self::encode(std::slice::from_ref(entry))?;
+            let mut f = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.path())?;
+            f.write_all(line.as_bytes())?;
+            f.sync_all()?;
+            drop(f);
+            sync_dir(&self.dir)
+        };
+        append().map_err(|e| self.named("appending to journal", e))
     }
 
-    /// Atomically replaces the journal with exactly `entries` — used when
-    /// resume validation rejects a suffix and the run replays from there.
-    pub fn rewrite(&self, entries: &[StageEntry]) -> io::Result<()> {
+    /// Atomically replaces the journal with exactly `entries` (write, fsync,
+    /// rename) — used when resume validation rejects a suffix, and by the
+    /// fleet to canonicalize event order.
+    pub fn rewrite(&self, entries: &[E]) -> io::Result<()> {
+        Self::encode(entries)
+            .and_then(|text| write_atomic(&self.dir, &self.file, text.as_bytes()))
+            .map(|_| ())
+            .map_err(|e| self.named("rewriting journal", e))
+    }
+
+    /// The journal bytes for `entries`: one compact JSON line each, every
+    /// line newline-terminated. The only JSONL writer — [`Journal::append`]
+    /// and [`Journal::rewrite`] go through it, and so does any caller that
+    /// composes a journal file in memory.
+    pub fn encode(entries: &[E]) -> io::Result<String> {
         let mut text = String::new();
         for entry in entries {
             let line = serde_json::to_string(entry)
@@ -152,18 +178,21 @@ impl Journal {
             text.push_str(&line);
             text.push('\n');
         }
-        write_atomic(&self.dir, MANIFEST_FILE, text.as_bytes())?;
-        Ok(())
+        Ok(text)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
     use std::fs;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+    /// Journal file name the generic cases use for every entry type.
+    const FILE: &str = "entries.jsonl";
 
     fn temp_dir() -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -195,10 +224,54 @@ mod tests {
         }
     }
 
+    fn stage_entries() -> Vec<StageEntry> {
+        vec![
+            entry(0, "preprocess"),
+            entry(1, "analytics"),
+            entry(2, "dashboard"),
+        ]
+    }
+
+    /// A second entry type, so the generic path is exercised with a shape
+    /// other than [`StageEntry`] (the fleet and ingest journals use their
+    /// own entry types).
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct Event {
+        city: String,
+        kind: String,
+        attempt: u32,
+    }
+
+    fn events() -> Vec<Event> {
+        [
+            ("a", "scheduled", 0),
+            ("a", "started", 1),
+            ("b", "retried", 1),
+        ]
+        .iter()
+        .map(|&(city, kind, attempt)| Event {
+            city: city.to_owned(),
+            kind: kind.to_owned(),
+            attempt,
+        })
+        .collect()
+    }
+
+    /// Appends every entry to a fresh journal in a fresh directory.
+    fn journal_with<E: Serialize + Deserialize>(entries: &[E]) -> (PathBuf, Journal<E>) {
+        let dir = temp_dir();
+        let j = Journal::open(&dir, FILE);
+        for e in entries {
+            j.append(e).unwrap();
+        }
+        (dir, j)
+    }
+
     #[test]
     fn append_then_load_round_trips() {
         let dir = temp_dir();
         let j = Journal::at(&dir);
+        assert_eq!(j.path(), dir.join(MANIFEST_FILE));
         let loaded = j.load().unwrap();
         assert!(loaded.entries.is_empty(), "missing file = empty journal");
         assert!(!loaded.recovered_torn_tail);
@@ -212,18 +285,15 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn torn_tail_is_discarded_and_reported() {
-        let dir = temp_dir();
-        let j = Journal::at(&dir);
-        j.append(&entry(0, "preprocess")).unwrap();
-        j.append(&entry(1, "analytics")).unwrap();
+    fn torn_tail_case<E: Serialize + Deserialize + PartialEq + Debug>(entries: &[E]) {
+        let (dir, j) = journal_with(&entries[..2]);
         // Simulate a crash mid-append: chop the last line in half.
         let text = fs::read_to_string(j.path()).unwrap();
-        fs::write(j.path(), &text[..text.len() - 40]).unwrap();
+        let last_start = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+        let cut = last_start + (text.len() - last_start) / 2;
+        fs::write(j.path(), &text[..cut]).unwrap();
         let loaded = j.load().unwrap();
-        assert_eq!(loaded.entries.len(), 1);
-        assert_eq!(loaded.entries[0].stage, "preprocess");
+        assert_eq!(loaded.entries, entries[..1]);
         assert!(
             loaded.recovered_torn_tail,
             "discarding a torn tail must be surfaced, not silent"
@@ -232,28 +302,33 @@ mod tests {
     }
 
     #[test]
-    fn garbage_interior_line_truncates_from_there() {
-        let dir = temp_dir();
-        let j = Journal::at(&dir);
-        j.append(&entry(0, "preprocess")).unwrap();
+    fn torn_tail_is_discarded_and_reported() {
+        torn_tail_case(&stage_entries());
+        torn_tail_case(&events());
+    }
+
+    fn interior_garbage_case<E: Serialize + Deserialize + PartialEq + Debug>(entries: &[E]) {
+        let (dir, j) = journal_with(&entries[..1]);
         let mut text = fs::read_to_string(j.path()).unwrap();
         text.push_str("{not json}\n");
         fs::write(j.path(), &text).unwrap();
-        j.append(&entry(2, "dashboard")).unwrap();
+        j.append(&entries[2]).unwrap();
         // The entry after the garbage line is unreachable.
         let loaded = j.load().unwrap();
-        assert_eq!(loaded.entries.len(), 1);
+        assert_eq!(loaded.entries, entries[..1]);
         assert!(loaded.recovered_torn_tail, "interior garbage is a tear too");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
+    fn garbage_interior_line_truncates_from_there() {
+        interior_garbage_case(&stage_entries());
+        interior_garbage_case(&events());
+    }
+
+    #[test]
     fn rewrite_truncates_to_prefix() {
-        let dir = temp_dir();
-        let j = Journal::at(&dir);
-        j.append(&entry(0, "preprocess")).unwrap();
-        j.append(&entry(1, "analytics")).unwrap();
-        j.append(&entry(2, "dashboard")).unwrap();
+        let (dir, j) = journal_with(&stage_entries());
         let all = j.load().unwrap().entries;
         j.rewrite(&all[..1]).unwrap();
         let loaded = j.load().unwrap();
@@ -264,23 +339,21 @@ mod tests {
     }
 
     /// A crash *during* `rewrite` must never lose committed entries.
-    /// `rewrite` goes through `write_atomic` (tmp + fsync + rename), so
-    /// every intermediate state a kill can leave behind is either the old
-    /// journal or the new one. This test walks the protocol's crash
+    /// `rewrite` goes through `write_atomic` (tmp + fsync + rename),
+    /// so every intermediate state a kill can leave behind is either the
+    /// old journal or the new one. This case walks the protocol's crash
     /// windows explicitly.
-    #[test]
-    fn rewrite_interrupted_midway_never_loses_committed_entries() {
-        let dir = temp_dir();
-        let j = Journal::at(&dir);
-        j.append(&entry(0, "preprocess")).unwrap();
-        j.append(&entry(1, "analytics")).unwrap();
-        j.append(&entry(2, "dashboard")).unwrap();
+    fn rewrite_crash_window_case<E: Serialize + Deserialize + PartialEq + Debug + Clone>(
+        entries: &[E],
+    ) {
+        let (dir, j) = journal_with(entries);
         let committed = j.load().unwrap().entries;
+        assert_eq!(committed, entries);
 
         // Crash window 1: the replacement text was written to the tmp
         // file (possibly torn), but the rename never happened. The live
         // journal must still hold every committed entry.
-        let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
+        let tmp = dir.join(format!("{FILE}.tmp"));
         fs::write(&tmp, b"{\"seq\":0,\"stage\":\"prep").unwrap();
         let loaded = j.load().unwrap();
         assert_eq!(
@@ -298,36 +371,30 @@ mod tests {
 
         // A stale tmp from window 1 must not break later appends either.
         fs::write(&tmp, b"stale garbage").unwrap();
-        j.append(&entry(2, "dashboard")).unwrap();
+        j.append(&committed[2]).unwrap();
         assert_eq!(j.load().unwrap().entries, committed);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rewrite_interrupted_midway_never_loses_committed_entries() {
+        rewrite_crash_window_case(&stage_entries());
+        rewrite_crash_window_case(&events());
     }
 
     /// Re-running an interrupted rewrite (the resume path re-validates
     /// and rewrites again) converges to the same bytes as a rewrite that
     /// was never interrupted.
-    #[test]
-    fn rewrite_after_interrupted_rewrite_is_byte_identical() {
-        let dir_clean = temp_dir();
-        let dir_crashed = temp_dir();
-        for dir in [&dir_clean, &dir_crashed] {
-            let j = Journal::at(dir);
-            j.append(&entry(0, "preprocess")).unwrap();
-            j.append(&entry(1, "analytics")).unwrap();
-        }
-        let j_crashed = Journal::at(&dir_crashed);
-        let prefix = j_crashed.load().unwrap().entries;
+    fn rewrite_after_interruption_case<E: Serialize + Deserialize>(entries: &[E]) {
+        let (dir_clean, j_clean) = journal_with(&entries[..2]);
+        let (dir_crashed, j_crashed) = journal_with(&entries[..2]);
         // Interrupted attempt: tmp written, rename lost.
-        fs::write(
-            dir_crashed.join(format!("{MANIFEST_FILE}.tmp")),
-            b"half a li",
-        )
-        .unwrap();
+        fs::write(dir_crashed.join(format!("{FILE}.tmp")), b"half a li").unwrap();
         // Both sides now perform the rewrite to the same prefix.
-        j_crashed.rewrite(&prefix[..1]).unwrap();
-        let j_clean = Journal::at(&dir_clean);
-        let clean_prefix = j_clean.load().unwrap().entries;
-        j_clean.rewrite(&clean_prefix[..1]).unwrap();
+        for j in [&j_clean, &j_crashed] {
+            let prefix = j.load().unwrap().entries;
+            j.rewrite(&prefix[..1]).unwrap();
+        }
         let a = fs::read(j_clean.path()).unwrap();
         let b = fs::read(j_crashed.path()).unwrap();
         assert_eq!(a, b);
@@ -336,18 +403,41 @@ mod tests {
     }
 
     #[test]
-    fn journal_bytes_are_deterministic() {
-        let dir_a = temp_dir();
-        let dir_b = temp_dir();
-        for dir in [&dir_a, &dir_b] {
-            let j = Journal::at(dir);
-            j.append(&entry(0, "preprocess")).unwrap();
-            j.append(&entry(1, "analytics")).unwrap();
-        }
-        let a = fs::read(Journal::at(&dir_a).path()).unwrap();
-        let b = fs::read(Journal::at(&dir_b).path()).unwrap();
+    fn rewrite_after_interrupted_rewrite_is_byte_identical() {
+        rewrite_after_interruption_case(&stage_entries());
+        rewrite_after_interruption_case(&events());
+    }
+
+    /// Appending entries one by one and encoding them in memory produce
+    /// the same bytes — in every directory.
+    fn byte_determinism_case<E: Serialize + Deserialize>(entries: &[E]) {
+        let (dir_a, j_a) = journal_with(entries);
+        let (dir_b, j_b) = journal_with(entries);
+        let a = fs::read(j_a.path()).unwrap();
+        let b = fs::read(j_b.path()).unwrap();
         assert_eq!(a, b);
+        assert_eq!(a, Journal::encode(entries).unwrap().into_bytes());
         fs::remove_dir_all(&dir_a).unwrap();
         fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    #[test]
+    fn journal_bytes_are_deterministic() {
+        byte_determinism_case(&stage_entries());
+        byte_determinism_case(&events());
+    }
+
+    #[test]
+    fn load_error_names_journal_path() {
+        let dir = temp_dir();
+        // Make the journal path unreadable by making it a directory.
+        fs::create_dir_all(dir.join(FILE)).unwrap();
+        let err = Journal::<Event>::open(&dir, FILE).load().unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&dir.join(FILE).display().to_string()),
+            "error should name the journal path: {err}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

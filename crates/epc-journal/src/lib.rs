@@ -14,12 +14,16 @@
 //!   carrying the content's SHA-256, so readers can *detect* corruption
 //!   that slipped past the rename protocol (disk faults, manual edits,
 //!   injected torn writes).
-//! * **The run journal** — [`Journal`] is an append-only
-//!   `run.manifest.jsonl` recording one [`StageEntry`] per committed
-//!   pipeline stage: config fingerprint, input hash, and the checkpoint
-//!   files (with hashes) that capture the stage's product. A resuming run
-//!   replays the journal, skips every stage whose entry validates, and
-//!   re-executes from the first invalid entry onward.
+//! * **The journal** — [`Journal<E>`] is an append-only JSONL file of
+//!   entries of type `E`, one line per commit. One format, one torn-tail
+//!   policy and one writer serve every durable surface: the run journal
+//!   `run.manifest.jsonl` records one [`StageEntry`] per committed
+//!   pipeline stage (config fingerprint, input hash, and the checkpoint
+//!   files with hashes that capture the stage's product), the fleet
+//!   journal records shard lifecycle events, and the ingest manifest
+//!   records sealed generations. A resuming run replays the journal,
+//!   skips every entry that validates, and re-executes from the first
+//!   invalid entry onward.
 //!
 //! Entries deliberately contain no timestamps or host state: the journal
 //! of a resumed run is byte-identical to the journal of an uninterrupted

@@ -649,6 +649,12 @@ fn fleet(
         Err(e) => return Err(format!("fleet run failed: {e}")),
     };
 
+    if output.recovered_torn_tail {
+        eprintln!(
+            "warning: fleet journal in {out_dir}/ had a torn trailing line (crash during \
+             append); it was discarded and the affected city replayed"
+        );
+    }
     let result = &output.result;
     if !result.journal_hits.is_empty() {
         println!(
@@ -729,7 +735,11 @@ fn bench_one(records: usize, seed: u64, runtime: epc_runtime::RuntimeConfig) -> 
     let indice = Indice::from_collection(collection, IndiceConfig::default()).with_runtime(runtime);
     let clock = epc_runtime::WallClock::new();
     let obs = epc_obs::Obs::new(&clock);
-    let output = indice.run_observed(epc_query::Stakeholder::PublicAdministration, &obs);
+    let output = indice.run_supervised(
+        epc_query::Stakeholder::PublicAdministration,
+        None,
+        Some(&obs),
+    );
 
     let total_ms = output.report.total_wall().as_millis() as u64;
     let per_sec = |n: usize, ms: u64| {

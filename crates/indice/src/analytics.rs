@@ -68,49 +68,38 @@ impl AnalyticsOutput {
     }
 }
 
-/// Runs the analytics stage over a (cleaned) dataset.
+/// Runs the analytics stage over a (cleaned) dataset, sequentially and
+/// unobserved — [`analyze_observed_from`] with the defaults.
 pub fn analyze(dataset: &Dataset, config: &IndiceConfig) -> Result<AnalyticsOutput, IndiceError> {
-    analyze_with_runtime(dataset, config, &epc_runtime::RuntimeConfig::sequential())
+    analyze_observed_from(
+        dataset,
+        config,
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
+        None,
+    )
 }
 
-/// [`analyze`] with an explicit execution runtime: the K-means assignment
-/// loops (elbow sweep and final fit) and the Apriori support counting run
-/// data-parallel under `runtime`, with outputs bitwise identical to the
-/// sequential run.
-pub fn analyze_with_runtime(
-    dataset: &Dataset,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-) -> Result<AnalyticsOutput, IndiceError> {
-    analyze_observed(dataset, config, runtime, None)
-}
-
-/// [`analyze_with_runtime`] with an optional observability bundle:
-/// per-round K-means inertia, the elbow SSE curve, and per-level Apriori
-/// candidate/pruned/frequent counts are recorded as trace points and
-/// counters. The analytical output is exactly what the unobserved call
-/// produces; all emission happens orchestrator-side, after the kernels
-/// return.
-pub fn analyze_observed(
-    dataset: &Dataset,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-    obs: Option<&Obs<'_>>,
-) -> Result<AnalyticsOutput, IndiceError> {
-    analyze_observed_from(dataset, config, runtime, obs, None)
-}
-
-/// [`analyze_observed`] with an optional K-means warm start for
-/// incremental ingest: when `warm_centroids` is given *and* its shape
-/// matches the chosen K (elbow sweeps stay cold — K may change as data
-/// accrues), the final fit seeds Lloyd from those centroids instead of the
-/// seeded k-means++ initialization.
+/// Runs the analytics stage under an explicit execution runtime: the
+/// K-means assignment loops (elbow sweep and final fit) and the Apriori
+/// support counting run data-parallel under `runtime`, with outputs
+/// bitwise identical to the sequential run.
 ///
-/// Warm centroids live in min-max-scaled feature space; a new batch can
+/// With an observability bundle, per-round K-means inertia, the elbow SSE
+/// curve, and per-level Apriori candidate/pruned/frequent counts are
+/// recorded as trace points and counters; all emission happens
+/// orchestrator-side, after the kernels return, so the analytical output
+/// is exactly what the unobserved call produces.
+///
+/// `warm_centroids` is the K-means warm start for incremental ingest: when
+/// given *and* its shape matches the chosen K (elbow sweeps stay cold — K
+/// may change as data accrues), the final fit seeds Lloyd from those
+/// centroids instead of the seeded k-means++ initialization. Warm
+/// centroids live in min-max-scaled feature space; a new batch can
 /// stretch the scaler's ranges, so a warm fit is ε-equivalent to the cold
 /// one (same basin on stable data), not bitwise identical. Passing `None`
-/// — the ingest `exact` recompute mode — reproduces [`analyze_observed`]
-/// byte for byte.
+/// — the ingest `exact` recompute mode — gives the cold fit byte for
+/// byte.
 pub fn analyze_observed_from(
     dataset: &Dataset,
     config: &IndiceConfig,
@@ -719,7 +708,7 @@ mod tests {
         let ds = dataset();
         let cfg = IndiceConfig::default();
         let rt = epc_runtime::RuntimeConfig::sequential();
-        let cold = analyze_observed(&ds, &cfg, &rt, None).unwrap();
+        let cold = analyze_observed_from(&ds, &cfg, &rt, None, None).unwrap();
         // Same data, warm-started from the converged centroids: Lloyd is a
         // fixed point, so the model matches the cold fit exactly.
         let warm =
@@ -741,7 +730,7 @@ mod tests {
         let ds = dataset();
         let cfg = IndiceConfig::default();
         let rt = epc_runtime::RuntimeConfig::sequential();
-        let cold = analyze_observed(&ds, &cfg, &rt, None).unwrap();
+        let cold = analyze_observed_from(&ds, &cfg, &rt, None, None).unwrap();
         // Previous centroids for a different K: ignored, cold init used.
         let stale = Matrix::from_vec(
             vec![0.5; (cold.chosen_k + 1) * cold.feature_names.len()],

@@ -152,7 +152,9 @@ pub(crate) struct DurableInputs<'a> {
     pub runtime: RuntimeConfig,
 }
 
-fn dur<T>(r: std::io::Result<T>, what: &str) -> Result<T, IndiceError> {
+/// Maps a durability I/O error to [`IndiceError::Durability`], prefixed
+/// with what was being done.
+pub(crate) fn dur<T>(r: std::io::Result<T>, what: &str) -> Result<T, IndiceError> {
     r.map_err(|e| IndiceError::Durability(format!("{what}: {e}")))
 }
 

@@ -5,10 +5,7 @@ use crate::analytics::AnalyticsOutput;
 use crate::config::IndiceConfig;
 use crate::error::IndiceError;
 use crate::outliers::UnivariateMethod;
-use crate::pipeline::{
-    run_pipeline, run_pipeline_supervised, standard_stages, supervised_stages, PipelineContext,
-    RunOutcome,
-};
+use crate::pipeline::{run_stages, supervised_stages, PipelineContext, RunOutcome, StagePolicy};
 use crate::preprocess::PreprocessOutput;
 use epc_faults::FaultInjector;
 use epc_geo::region::RegionHierarchy;
@@ -32,6 +29,9 @@ pub struct IndiceOutput {
     pub dashboard: Dashboard,
     /// Standalone artifacts (SVG/GeoJSON/text), file name → content.
     pub artifacts: BTreeMap<String, String>,
+    /// Per-stage instrumentation: wall time, record counts, and the
+    /// records each stage quarantined.
+    pub report: PipelineReport,
 }
 
 /// The result of one supervised (fault-tolerant) pipeline run. Unlike
@@ -162,92 +162,64 @@ impl Indice {
         cfg
     }
 
-    /// Runs the full pipeline for a stakeholder: category selection →
-    /// pre-processing → analytics → dashboard.
-    pub fn run(&self, stakeholder: Stakeholder) -> Result<IndiceOutput, IndiceError> {
-        self.run_detailed(stakeholder).map(|(output, _)| output)
-    }
-
-    /// Like [`Indice::run`], additionally returning the per-stage
-    /// instrumentation report (wall time and record counts per block).
-    pub fn run_detailed(
-        &self,
-        stakeholder: Stakeholder,
-    ) -> Result<(IndiceOutput, PipelineReport), IndiceError> {
-        let config = self.config_with_suggestions();
-        let mut ctx = PipelineContext::new(
+    /// A fresh pipeline context over the engine's inputs, with expert
+    /// suggestions applied to the configuration.
+    fn context(&self, stakeholder: Stakeholder) -> PipelineContext<'_> {
+        PipelineContext::new(
             &self.dataset,
             &self.street_map,
             &self.hierarchy,
-            config,
+            self.config_with_suggestions(),
             stakeholder,
             self.runtime,
-        );
-        let report = run_pipeline(&standard_stages(), &mut ctx)?;
+        )
+    }
+
+    /// Runs the full pipeline for a stakeholder: category selection →
+    /// pre-processing → analytics → dashboard. Every stage is required:
+    /// the first failing stage (or panic) is the error.
+    pub fn run(&self, stakeholder: Stakeholder) -> Result<IndiceOutput, IndiceError> {
+        let stages = supervised_stages().map(|(stage, _)| (stage, StagePolicy::Required));
+        let mut ctx = self.context(stakeholder);
+        let (outcome, report) = run_stages(&stages, &mut ctx);
+        if let RunOutcome::Failed(e) = outcome {
+            return Err(e);
+        }
         let missing = |what: &str| {
             IndiceError::Internal(format!("pipeline ran but produced no {what} output"))
         };
-        let output = IndiceOutput {
+        Ok(IndiceOutput {
             preprocess: ctx.preprocess.ok_or_else(|| missing("preprocess"))?,
             analytics: ctx.analytics.ok_or_else(|| missing("analytics"))?,
             dashboard: ctx.dashboard.ok_or_else(|| missing("dashboard"))?,
             artifacts: ctx.artifacts,
-        };
-        Ok((output, report))
+            report,
+        })
     }
 
     /// Runs the pipeline under the stage supervisor: stage panics are
     /// caught, analytics failures degrade the dashboard instead of
     /// aborting, and quarantined records are accounted for. Never returns
     /// `Err` — failure is [`RunOutcome::Failed`] inside the output.
-    pub fn run_supervised(&self, stakeholder: Stakeholder) -> SupervisedOutput {
-        self.run_supervised_inner(stakeholder, None, None)
-    }
-
-    /// Like [`Indice::run_supervised`], with a fault injector attached —
-    /// the chaos-testing entry point.
-    pub fn run_supervised_with_faults(
-        &self,
-        stakeholder: Stakeholder,
-        injector: &dyn FaultInjector,
-    ) -> SupervisedOutput {
-        self.run_supervised_inner(stakeholder, Some(injector), None)
-    }
-
-    /// Like [`Indice::run_supervised`], with an observability bundle
-    /// attached: stage spans, kernel trace points, and metrics land in
-    /// `obs`, and stage timers read the bundle's clock. The pipeline
-    /// products are exactly what [`Indice::run_supervised`] produces.
-    pub fn run_observed<'a>(
-        &'a self,
-        stakeholder: Stakeholder,
-        obs: &'a epc_obs::Obs<'a>,
-    ) -> SupervisedOutput {
-        self.run_supervised_inner(stakeholder, None, Some(obs))
-    }
-
-    fn run_supervised_inner<'a>(
+    ///
+    /// `injector` attaches a fault injector (chaos testing); `obs` records
+    /// stage spans, kernel trace points, and metrics, with stage timers
+    /// reading the bundle's clock. Neither changes the pipeline products
+    /// of a fault-free run.
+    pub fn run_supervised<'a>(
         &'a self,
         stakeholder: Stakeholder,
         injector: Option<&'a dyn FaultInjector>,
         obs: Option<&'a epc_obs::Obs<'a>>,
     ) -> SupervisedOutput {
-        let config = self.config_with_suggestions();
-        let mut ctx = PipelineContext::new(
-            &self.dataset,
-            &self.street_map,
-            &self.hierarchy,
-            config,
-            stakeholder,
-            self.runtime,
-        );
+        let mut ctx = self.context(stakeholder);
         if let Some(injector) = injector {
             ctx = ctx.with_injector(injector);
         }
         if let Some(obs) = obs {
             ctx = ctx.with_obs(obs);
         }
-        let (outcome, report) = run_pipeline_supervised(&supervised_stages(), &mut ctx);
+        let (outcome, report) = run_stages(&supervised_stages(), &mut ctx);
         SupervisedOutput {
             outcome,
             report,
@@ -326,11 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn run_detailed_reports_the_three_stages() {
+    fn run_reports_the_three_stages() {
         let engine = engine();
-        let (out, report) = engine
-            .run_detailed(Stakeholder::PublicAdministration)
-            .unwrap();
+        let out = engine.run(Stakeholder::PublicAdministration).unwrap();
+        let report = &out.report;
         let names: Vec<&str> = report.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["preprocess", "analytics", "dashboard"]);
         // Counts line up with the pipeline products.

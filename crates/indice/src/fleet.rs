@@ -17,7 +17,7 @@
 //! analytics degradation pattern of single-city dashboards.
 
 use crate::config::IndiceConfig;
-use crate::durable::DurableOptions;
+use crate::durable::{dur, DurableOptions};
 use crate::engine::Indice;
 use crate::error::IndiceError;
 use crate::pipeline::RunOutcome;
@@ -103,6 +103,10 @@ pub struct FleetRunOutput {
     /// The merged cross-city metrics (also written to
     /// [`FLEET_METRICS_FILE`]).
     pub metrics: MetricsSnapshot,
+    /// `true` when resuming discarded a torn trailing line of the fleet
+    /// journal (a crash-during-append artifact); the affected city
+    /// replayed.
+    pub recovered_torn_tail: bool,
 }
 
 /// Fingerprint of the effective fleet computation: plan, stakeholder,
@@ -119,10 +123,6 @@ fn fleet_fingerprint(opts: &FleetRunOptions<'_>) -> String {
         opts.stakeholder, opts.fleet, opts.policy
     );
     hash_hex(text.as_bytes())
-}
-
-fn dur_io(what: String, e: std::io::Error) -> IndiceError {
-    IndiceError::Durability(format!("{what}: {e}"))
 }
 
 /// Hashes an existing file under the fleet directory into an
@@ -313,8 +313,10 @@ fn merge_fleet_metrics(
             ShardStatus::Committed => {
                 committed += 1;
                 let rel = format!("{CITIES_DIR}/{}/{CITY_METRICS_FILE}", shard.city);
-                let text = fs::read_to_string(fleet_dir.join(&rel))
-                    .map_err(|e| dur_io(format!("reading shard metrics {rel}"), e))?;
+                let text = dur(
+                    fs::read_to_string(fleet_dir.join(&rel)),
+                    &format!("reading shard metrics {rel}"),
+                )?;
                 registry.merge(&parse_metrics(&text, &rel)?);
             }
             ShardStatus::Abandoned { .. } => abandoned += 1,
@@ -433,8 +435,10 @@ pub fn run_fleet(opts: &FleetRunOptions<'_>) -> Result<FleetRunOutput, IndiceErr
     let metrics = merge_fleet_metrics(&opts.dir, &result.shards)?;
     let registry = MetricsRegistry::new();
     registry.merge(&metrics);
-    write_atomic(&opts.dir, FLEET_METRICS_FILE, registry.to_json().as_bytes())
-        .map_err(|e| dur_io(format!("writing {FLEET_METRICS_FILE}"), e))?;
+    dur(
+        write_atomic(&opts.dir, FLEET_METRICS_FILE, registry.to_json().as_bytes()),
+        &format!("writing {FLEET_METRICS_FILE}"),
+    )?;
 
     let outcome_line = match &result.outcome {
         epc_coord::FleetOutcome::Complete => {
@@ -449,8 +453,14 @@ pub fn run_fleet(opts: &FleetRunOptions<'_>) -> Result<FleetRunOutput, IndiceErr
         epc_coord::FleetOutcome::Failed(reason) => format!("failed: {reason}"),
     };
     let html = render_fleet_dashboard(&result.shards, &outcome_line);
-    write_atomic(&opts.dir, FLEET_DASHBOARD_FILE, html.as_bytes())
-        .map_err(|e| dur_io(format!("writing {FLEET_DASHBOARD_FILE}"), e))?;
+    dur(
+        write_atomic(&opts.dir, FLEET_DASHBOARD_FILE, html.as_bytes()),
+        &format!("writing {FLEET_DASHBOARD_FILE}"),
+    )?;
 
-    Ok(FleetRunOutput { result, metrics })
+    Ok(FleetRunOutput {
+        recovered_torn_tail: result.recovered_torn_tail,
+        result,
+        metrics,
+    })
 }

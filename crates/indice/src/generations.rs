@@ -28,7 +28,7 @@
 use crate::checkpoint;
 use crate::config::IndiceConfig;
 use crate::durable::{
-    config_fingerprint, product_present, tear_checkpoint, CHECKPOINT_DIR, DASHBOARD_FILE,
+    config_fingerprint, dur, product_present, tear_checkpoint, CHECKPOINT_DIR, DASHBOARD_FILE,
 };
 use crate::error::IndiceError;
 use crate::pipeline::{
@@ -40,10 +40,12 @@ use epc_faults::{BatchScope, FaultInjector, IngestCrash};
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
 use epc_ingest::{
-    gen_dir_name, write_delta, GenerationEntry, GenerationManifest, GenerationOutcome, CURRENT_DIR,
-    GENESIS, GENS_DIR,
+    gen_dir_name, validate_chain, GenerationEntry, GenerationOutcome, CURRENT_DIR,
+    GENERATIONS_FILE, GENESIS, GENS_DIR,
 };
-use epc_journal::{hash_hex, ArtifactRecord, StageEntry, MANIFEST_FILE};
+use epc_journal::{
+    hash_hex, write_atomic_path, ArtifactRecord, Journal, StageEntry, MANIFEST_FILE,
+};
 use epc_model::csv::to_csv;
 use epc_model::wellknown as wk;
 use epc_model::Dataset;
@@ -247,10 +249,6 @@ pub struct IngestOutput {
     pub artifacts_carried: usize,
 }
 
-fn dur<T>(r: std::io::Result<T>, what: &str) -> Result<T, IndiceError> {
-    r.map_err(|e| IndiceError::Durability(format!("{what}: {e}")))
-}
-
 /// The relative path of generation `seq`'s clean delta.
 fn delta_rel(seq: usize) -> String {
     format!("{GENS_DIR}/{}/{CLEAN_DELTA_FILE}", gen_dir_name(seq))
@@ -368,10 +366,10 @@ pub fn ingest(
 
     // Load the sealed prefix; the hash chain must be intact before any
     // delta is folded.
-    let manifest = GenerationManifest::at(run_dir);
-    let (loaded, _tip) = manifest
-        .load_validated()
-        .map_err(|e| IndiceError::Durability(format!("loading generation manifest: {e}")))?;
+    let manifest = Journal::<GenerationEntry>::open(run_dir, GENERATIONS_FILE);
+    let loaded = dur(manifest.load(), "loading generation manifest")?;
+    validate_chain(&loaded.entries)
+        .map_err(|msg| IndiceError::Durability(format!("loading generation manifest: {msg}")))?;
     let recovered_torn_tail = loaded.recovered_torn_tail;
     if recovered_torn_tail {
         if let Some(obs) = opts.obs {
@@ -581,7 +579,7 @@ pub fn ingest(
                 let delta_text = checkpoint::encode_clean_phase(&phase);
                 let rel = delta_rel(i);
                 let written = dur(
-                    write_delta(&run_dir.join(&rel), delta_text.as_bytes()),
+                    write_atomic_path(&run_dir.join(&rel), delta_text.as_bytes()),
                     "writing clean delta",
                 )?;
                 let delta_rec = ArtifactRecord {
@@ -718,13 +716,13 @@ pub fn ingest(
 
                 // The cumulative journal: byte-identical to the one a
                 // one-shot durable run would have appended.
-                let mut journal_text = String::new();
+                let mut journal = Vec::with_capacity(stages.len());
                 for (si, ((stage, _), ckpts)) in stages.iter().zip(&stage_ckpts).enumerate() {
                     let name = stage.name();
                     let sr = report.stages.get(si).ok_or_else(|| {
                         IndiceError::Internal("stage executed without a report entry".into())
                     })?;
-                    let entry = StageEntry {
+                    journal.push(StageEntry {
                         seq: si,
                         stage: name.to_owned(),
                         config_fingerprint: config_fp.clone(),
@@ -736,13 +734,9 @@ pub fn ingest(
                         quarantined: sr.quarantined,
                         faults: sr.faults.clone(),
                         checkpoints: ckpts.clone(),
-                    };
-                    let line = serde_json::to_string(&entry).map_err(|e| {
-                        IndiceError::Durability(format!("serializing journal entry: {e}"))
-                    })?;
-                    journal_text.push_str(&line);
-                    journal_text.push('\n');
+                    });
                 }
+                let journal_text = dur(Journal::encode(&journal), "encoding cumulative journal")?;
                 files.push((MANIFEST_FILE.to_owned(), journal_text));
 
                 // Write changed files, carry the rest; drop leftovers so
@@ -766,7 +760,7 @@ pub fn ingest(
                         carried += 1;
                     } else {
                         dur(
-                            write_delta(&current_dir.join(file), content.as_bytes()),
+                            write_atomic_path(&current_dir.join(file), content.as_bytes()),
                             "writing cumulative artifact",
                         )?;
                         written += 1;

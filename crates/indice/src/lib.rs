@@ -22,8 +22,8 @@
 //!    assembled into self-contained HTML + GeoJSON artifacts (§2.3).
 //!
 //! The stages are first-class [`pipeline::Stage`] values executed over a
-//! shared [`pipeline::PipelineContext`] by a staged executor that times
-//! every block and runs each block's hot loops data-parallel through
+//! shared [`pipeline::PipelineContext`] by one supervised stage loop
+//! ([`pipeline::run_stages`]) that times every block and runs each block's hot loops data-parallel through
 //! [`epc_runtime`] — deterministically: outputs are bitwise identical for
 //! any thread budget (set it with `INDICE_THREADS` or
 //! [`engine::Indice::with_runtime`]).
@@ -91,7 +91,6 @@ pub use generations::{
 };
 pub use outliers::UnivariateMethod;
 pub use pipeline::{
-    run_pipeline, run_pipeline_supervised, run_pipeline_supervised_with, supervised_stages,
-    AnalyticsStage, DashboardStage, PipelineContext, PreprocessStage, RunOutcome, Stage,
-    StageDeadline, StagePolicy, StageStats,
+    run_stages, supervised_stages, AnalyticsStage, DashboardStage, PipelineContext,
+    PreprocessStage, RunOutcome, Stage, StageDeadline, StagePolicy, StageStats,
 };

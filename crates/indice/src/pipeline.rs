@@ -6,7 +6,9 @@
 //! changed configuration, or skipped when their inputs are already cached
 //! in the context — without re-running the whole pipeline.
 //!
-//! [`run_pipeline`] executes a stage sequence, timing each stage with
+//! [`run_stages`] is the one stage loop: it executes a stage sequence
+//! under the supervisor (panic isolation, per-stage [`StagePolicy`],
+//! quarantine accounting), timing each stage with
 //! [`epc_runtime::StageTimer`] and collecting a per-stage
 //! [`epc_runtime::PipelineReport`]. All intra-stage data-parallelism goes
 //! through [`epc_runtime`]'s deterministic primitives, so a pipeline run
@@ -329,43 +331,6 @@ impl Stage for DashboardStage {
     }
 }
 
-/// Runs `stages` in order over `ctx`, timing each one. A failing stage
-/// aborts the run and propagates its error.
-pub fn run_pipeline(
-    stages: &[&dyn Stage],
-    ctx: &mut PipelineContext<'_>,
-) -> Result<PipelineReport, IndiceError> {
-    let mut report = PipelineReport::new(ctx.runtime.threads);
-    for stage in stages {
-        let name = stage.name();
-        let span = open_stage_span(ctx, name);
-        let timer = StageTimer::start_with(name, ctx.clock);
-        let stats = match stage.run(ctx) {
-            Ok(stats) => stats,
-            Err(e) => {
-                if let Some(span) = span {
-                    span.finish("error", &[]);
-                }
-                return Err(e);
-            }
-        };
-        report.push(timer.finish(stats.records_in, stats.records_out));
-        if let Some(obs) = ctx.obs {
-            record_stage_metrics(obs, name, stats);
-        }
-        if let Some(span) = span {
-            span.finish(
-                "ok",
-                &[
-                    ("records_in", stats.records_in.into()),
-                    ("records_out", stats.records_out.into()),
-                ],
-            );
-        }
-    }
-    Ok(report)
-}
-
 /// Opens the `stage:<name>` span when the context carries an
 /// observability bundle.
 fn open_stage_span<'a>(ctx: &PipelineContext<'a>, name: &str) -> Option<SpanGuard<'a, 'a>> {
@@ -388,11 +353,6 @@ fn record_stage_metrics(obs: &Obs<'_>, name: &str, stats: StageStats) {
         STAGE_RECORDS_BOUNDS,
         stats.records_out as u64,
     );
-}
-
-/// The standard three-block sequence of Figure 1.
-pub fn standard_stages() -> [&'static dyn Stage; 3] {
-    [&PreprocessStage, &AnalyticsStage, &DashboardStage]
 }
 
 /// What the supervisor does when a stage fails.
@@ -446,9 +406,10 @@ impl std::fmt::Display for RunOutcome {
     }
 }
 
-/// The standard stage sequence with its failure policies: preprocessing
-/// and the dashboard are load-bearing, analytics can be skipped (the
-/// dashboard then renders maps and distributions without cluster panels).
+/// The standard three-block sequence of Figure 1 with its failure
+/// policies: preprocessing and the dashboard are load-bearing, analytics
+/// can be skipped (the dashboard then renders maps and distributions
+/// without cluster panels).
 pub fn supervised_stages() -> [(&'static dyn Stage, StagePolicy); 3] {
     [
         (&PreprocessStage, StagePolicy::Required),
@@ -635,30 +596,19 @@ pub(crate) fn finish_outcome(ctx: &PipelineContext<'_>, mut reasons: Vec<String>
     }
 }
 
-/// Runs `stages` under a supervisor: stage panics are caught, failures of
-/// [`StagePolicy::Degradable`] stages turn into degradation reasons
-/// instead of aborting, and per-stage quarantine deltas land in the
-/// report. Never returns `Err` — failure is the
+/// Runs `stages` in order over `ctx` under the supervisor: stage panics
+/// are caught, failures of [`StagePolicy::Degradable`] stages turn into
+/// degradation reasons instead of aborting, and per-stage quarantine
+/// deltas land in the report. Never returns `Err` — failure is the
 /// [`RunOutcome::Failed`] variant, paired with the partial report.
-pub fn run_pipeline_supervised(
+pub fn run_stages(
     stages: &[(&dyn Stage, StagePolicy)],
     ctx: &mut PipelineContext<'_>,
-) -> (RunOutcome, PipelineReport) {
-    run_pipeline_supervised_with(stages, ctx, None)
-}
-
-/// [`run_pipeline_supervised`] with an optional per-stage deadline budget:
-/// the watchdog samples the injected clock around each stage and degrades
-/// overrunning stages (see [`StageDeadline`]).
-pub fn run_pipeline_supervised_with(
-    stages: &[(&dyn Stage, StagePolicy)],
-    ctx: &mut PipelineContext<'_>,
-    deadline: Option<&StageDeadline<'_>>,
 ) -> (RunOutcome, PipelineReport) {
     let mut report = PipelineReport::new(ctx.runtime.threads);
     let mut reasons: Vec<String> = Vec::new();
     for (stage, policy) in stages {
-        match execute_stage_supervised(*stage, *policy, ctx, &mut report, deadline) {
+        match execute_stage_supervised(*stage, *policy, ctx, &mut report, None) {
             StageExec::Succeeded => {}
             StageExec::Degraded(reason) => reasons.push(reason),
             StageExec::Failed(e) => return (RunOutcome::Failed(e), report),
@@ -713,7 +663,8 @@ mod tests {
             Stakeholder::PublicAdministration,
             RuntimeConfig::sequential(),
         );
-        let report = run_pipeline(&standard_stages(), &mut ctx).unwrap();
+        let (outcome, report) = run_stages(&supervised_stages(), &mut ctx);
+        assert!(outcome.produced_output(), "{outcome}");
         assert_eq!(report.stages.len(), 3);
         assert_eq!(report.stages[0].name, "preprocess");
         assert_eq!(report.stages[1].name, "analytics");
@@ -753,7 +704,8 @@ mod tests {
             Stakeholder::PublicAdministration,
             RuntimeConfig::sequential(),
         );
-        run_pipeline(&standard_stages(), &mut ctx).unwrap();
+        let (outcome, _) = run_stages(&supervised_stages(), &mut ctx);
+        assert!(outcome.produced_output(), "{outcome}");
         let first_k = ctx.analytics.as_ref().unwrap().chosen_k;
 
         // Re-run analytics alone with a fixed K — preprocessing is reused

@@ -3,7 +3,7 @@
 //! values labelled as outliers are not considered in the subsequent steps
 //! of analysis."
 //!
-//! The fault-tolerant entry point is [`preprocess_faulty`]: malformed or
+//! The fault-tolerant entry point is [`preprocess_observed`]: malformed or
 //! corrupted records are diverted into an [`epc_model::Quarantine`] instead
 //! of panicking or poisoning downstream statistics, and (with an injector)
 //! transient geocoder failures are retried and finally degraded to
@@ -109,23 +109,13 @@ pub fn preprocess_with_runtime(
 /// keeps failing degrade to district-centroid coordinates instead of
 /// being dropped.
 ///
+/// With an observability bundle, cleaning, univariate, and DBSCAN
+/// statistics are recorded as trace points and counters. All emission
+/// happens orchestrator-side, after the data-parallel kernels return, so
+/// the logical event stream is identical for any thread budget.
+///
 /// With `injector = None` and a clean input, the output is bitwise
 /// identical to [`preprocess_with_runtime`].
-pub fn preprocess_faulty(
-    dataset: Dataset,
-    street_map: &StreetMap,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-    injector: Option<&dyn FaultInjector>,
-) -> Result<(PreprocessOutput, Quarantine), IndiceError> {
-    preprocess_observed(dataset, street_map, config, runtime, injector, None)
-}
-
-/// [`preprocess_faulty`] with an optional observability bundle: cleaning,
-/// univariate, and DBSCAN statistics are recorded as trace points and
-/// counters. All emission happens orchestrator-side, after the
-/// data-parallel kernels return, so the logical event stream is identical
-/// for any thread budget.
 pub fn preprocess_observed(
     dataset: Dataset,
     street_map: &StreetMap,
@@ -879,11 +869,12 @@ mod tests {
             &IndiceConfig::default(),
         )
         .unwrap();
-        let (faulty, quarantine) = preprocess_faulty(
+        let (faulty, quarantine) = preprocess_observed(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
             &epc_runtime::RuntimeConfig::sequential(),
+            None,
             None,
         )
         .unwrap();
@@ -912,12 +903,13 @@ mod tests {
             })
             .collect();
         assert!(!expected.is_empty());
-        let (out, quarantine) = preprocess_faulty(
+        let (out, quarantine) = preprocess_observed(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
             &epc_runtime::RuntimeConfig::sequential(),
             Some(&inj),
+            None,
         )
         .unwrap();
         let got: std::collections::BTreeSet<String> =
@@ -955,12 +947,13 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        let (out, _) = preprocess_faulty(
+        let (out, _) = preprocess_observed(
             c.dataset.clone(),
             &c.city.street_map,
             &cfg,
             &epc_runtime::RuntimeConfig::sequential(),
             Some(&inj),
+            None,
         )
         .unwrap();
         assert!(
@@ -994,11 +987,12 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        let (out, quarantine) = preprocess_faulty(
+        let (out, quarantine) = preprocess_observed(
             c.dataset.clone(),
             &c.city.street_map,
             &cfg,
             &epc_runtime::RuntimeConfig::sequential(),
+            None,
             None,
         )
         .unwrap();

@@ -185,7 +185,7 @@ mod fault_shuffle {
         )
         .with_runtime(RuntimeConfig::new(threads));
         let inj = injector();
-        engine.run_supervised_with_faults(Stakeholder::PublicAdministration, &inj)
+        engine.run_supervised(Stakeholder::PublicAdministration, Some(&inj), None)
     }
 
     /// The certificate ids surviving preprocessing — the clean subset.

@@ -11,7 +11,7 @@
 // Test/demo code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_coord::{CoordCrash, FleetOutcome, RetryPolicy, ShardStatus};
+use epc_coord::{CoordCrash, FleetOutcome, RetryPolicy, ShardStatus, FLEET_MANIFEST_FILE};
 use epc_faults::{CityFaultSpec, FleetFaults, StageKillSpec};
 use epc_runtime::{ManualClock, RuntimeConfig};
 use epc_synth::FleetConfig;
@@ -260,6 +260,10 @@ fn assert_crash_resume(tag: &str, crash: CoordCrash, expect_hits: &[usize], thre
 
     let out = run_with(&dir, threads, true, None, None, 2).expect("resume");
     assert!(matches!(out.result.outcome, FleetOutcome::Complete));
+    assert!(
+        !out.recovered_torn_tail,
+        "a clean crash leaves no torn tail"
+    );
     let hits: Vec<String> = expect_hits.iter().map(|&i| city_id(i)).collect();
     assert_eq!(out.result.journal_hits, hits, "journal-verified hit set");
     let replayed: Vec<String> = (0..3)
@@ -297,6 +301,36 @@ fn coordinator_crash_between_shard_commits_resumes_byte_identically() {
 #[test]
 fn coordinator_crash_before_last_city_resumes_byte_identically() {
     assert_crash_resume("crash-before2", CoordCrash::BeforeCity(2), &[0, 1], 2);
+}
+
+#[test]
+fn torn_fleet_journal_is_reported_and_resumes_byte_identically() {
+    let (base_dir, _) = baseline("torn-base", 2);
+    let dir = fleet_dir("torn");
+    run_with(&dir, 2, false, None, Some(CoordCrash::AfterCommit(1)), 2)
+        .expect_err("injected coordinator crash must surface as an error");
+    // Cut the journal's last line (city 1's commit) mid-line: the state a
+    // kill during the append leaves behind.
+    let journal = dir.join(FLEET_MANIFEST_FILE);
+    let text = fs::read_to_string(&journal).unwrap();
+    let last_start = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+    fs::write(
+        &journal,
+        &text[..last_start + (text.len() - last_start) / 2],
+    )
+    .unwrap();
+
+    let out = run_with(&dir, 2, true, None, None, 2).expect("resume");
+    assert!(out.recovered_torn_tail, "the torn tail must be reported");
+    assert!(out.result.recovered_torn_tail);
+    assert!(matches!(out.result.outcome, FleetOutcome::Complete));
+    assert_eq!(out.result.journal_hits, vec![city_id(0)]);
+    assert_eq!(out.result.replayed, vec![city_id(1), city_id(2)]);
+    assert_eq!(
+        tree(&dir),
+        tree(&base_dir),
+        "a fleet resumed over a torn journal must be byte-identical to an uninterrupted one"
+    );
 }
 
 #[test]

@@ -4,6 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use epc_model::wellknown as wk;
+use epc_model::Value;
 use epc_query::Stakeholder;
 use epc_synth::city::CityConfig;
 use epc_synth::epcgen::{EpcGenerator, SynthConfig, SyntheticCollection};
@@ -47,6 +48,31 @@ fn every_stakeholder_gets_a_complete_run() {
         assert!(html.len() > 10_000, "dashboard should embed real content");
         assert!(html.contains(stakeholder.name()));
     }
+}
+
+#[test]
+fn strict_run_reports_the_records_preprocessing_quarantined() {
+    let mut c = collection(600, 3);
+    let schema = c.dataset.schema();
+    let category = schema.require(wk::BUILDING_CATEGORY).unwrap();
+    let u_windows = schema.require(wk::U_WINDOWS).unwrap();
+    // Plant a non-finite value in three rows the category filter keeps.
+    let planted: Vec<usize> = (0..c.dataset.n_rows())
+        .filter(|&row| c.dataset.cat(row, category) == Some("E.1.1"))
+        .take(3)
+        .collect();
+    assert_eq!(planted.len(), 3);
+    for &row in &planted {
+        c.dataset
+            .set_value(row, u_windows, Value::Num(f64::NAN))
+            .unwrap();
+    }
+    let out = Indice::from_collection(c, IndiceConfig::default())
+        .run(Stakeholder::PublicAdministration)
+        .unwrap();
+    let stage = out.report.stage("preprocess").unwrap();
+    assert_eq!(stage.quarantined, planted.len());
+    assert_eq!(stage.faults.get("non_finite"), Some(&planted.len()));
 }
 
 #[test]
