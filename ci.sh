@@ -156,7 +156,15 @@ if want crash; then
       echo "FAIL: --crash-at $point exited $code (expected 70)" >&2
       exit 1
     fi
-    "$INDICE" "${crash_args[@]}" --resume "$dir" >/dev/null
+    "$INDICE" "${crash_args[@]}" --resume "$dir" >/dev/null \
+      2>"$CRASH_DIR/resume.err"
+    # A torn commit's journal entry fails validation: the resume must say
+    # which entry it dropped instead of replaying silently.
+    if [ "$point" = dashboard:torn ] &&
+       ! grep -q "^resume: .* seq 2 (dashboard) rejected" "$CRASH_DIR/resume.err"; then
+      echo "FAIL: resume after $point printed no resume: line naming seq 2" >&2
+      exit 1
+    fi
     if [ "$(tree_hash "$dir")" != "$baseline_hash" ]; then
       echo "FAIL: resume after $point is not byte-identical to baseline" >&2
       exit 1

@@ -17,7 +17,7 @@
 
 use crate::backoff::RetryPolicy;
 use crate::journal::{FleetEvent, FLEET_MANIFEST_FILE};
-use epc_journal::{ArtifactRecord, Journal};
+use epc_journal::{ArtifactRecord, Crash, CrashPoint, Journal};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -123,16 +123,6 @@ impl FleetOutcome {
     }
 }
 
-/// Deterministic coordinator crash injection point, for chaos tests of
-/// the fleet journal itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoordCrash {
-    /// Crash before the i-th city (plan order) is scheduled.
-    BeforeCity(usize),
-    /// Crash immediately after the i-th city's terminal journal line.
-    AfterCommit(usize),
-}
-
 /// Coordinator-level error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoordError {
@@ -174,8 +164,11 @@ pub struct FleetOptions {
     /// outright. `None` tolerates any number as long as at least one
     /// city commits.
     pub max_failed: Option<usize>,
-    /// Injected coordinator crash point (chaos tests only).
-    pub crash: Option<CoordCrash>,
+    /// Injected coordinator crash point, keyed by city index in plan
+    /// order (chaos tests only). `before` fires before the city is
+    /// scheduled, `after` right after its terminal journal line; the
+    /// coordinator tears no checkpoint, so `torn` never fires.
+    pub crash: Option<Crash<usize>>,
 }
 
 impl FleetOptions {
@@ -357,7 +350,8 @@ pub fn run_fleet(
             shards.push(hit.report.clone());
             continue;
         }
-        if opts.crash == Some(CoordCrash::BeforeCity(index)) {
+        let crash_here = opts.crash.as_ref().and_then(|c| c.point_for(&index));
+        if crash_here == Some(CrashPoint::Before) {
             return Err(CoordError::CrashInjected {
                 at: format!("city {index}:before"),
             });
@@ -469,7 +463,7 @@ pub fn run_fleet(
             summary: BTreeMap::new(),
             checkpoints: Vec::new(),
         }));
-        if opts.crash == Some(CoordCrash::AfterCommit(index)) {
+        if crash_here == Some(CrashPoint::After) {
             return Err(CoordError::CrashInjected {
                 at: format!("city {index}:after"),
             });
@@ -714,7 +708,10 @@ mod tests {
         assert_eq!(baseline.outcome, FleetOutcome::Complete);
 
         let mut opts = FleetOptions::new(&crashed_dir, "fp");
-        opts.crash = Some(CoordCrash::AfterCommit(0));
+        opts.crash = Some(Crash {
+            at: 0,
+            point: CrashPoint::After,
+        });
         let err = run_fleet(&plan, &opts, &MockRunner::new(&crashed_dir)).unwrap_err();
         assert!(matches!(err, CoordError::CrashInjected { .. }));
 
@@ -764,7 +761,10 @@ mod tests {
         let dir = temp_dir();
         let plan = cities(&["a", "b"]);
         let mut opts = FleetOptions::new(&dir, "fp");
-        opts.crash = Some(CoordCrash::BeforeCity(1));
+        opts.crash = Some(Crash {
+            at: 1,
+            point: CrashPoint::Before,
+        });
         let err = run_fleet(&plan, &opts, &MockRunner::new(&dir)).unwrap_err();
         assert_eq!(
             err,

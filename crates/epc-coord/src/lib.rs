@@ -24,6 +24,9 @@
 //!   resume and only abandoned/unfinished cities replay. Shards that
 //!   exhaust the budget degrade the [`FleetOutcome`] to a partial result
 //!   with per-city provenance instead of failing the run.
+//!   Chaos tests kill the coordinator at a city boundary with
+//!   [`FleetOptions::crash`], an [`epc_journal::Crash<usize>`] keyed by
+//!   city index (`before` / `after`; the coordinator tears nothing).
 //!
 //! The crate is engine-agnostic: the caller supplies a [`ShardRunner`]
 //! that executes one deterministic attempt of one city. The `indice`
@@ -35,7 +38,7 @@ mod journal;
 
 pub use backoff::{Backoff, RetryPolicy};
 pub use coordinator::{
-    run_fleet, CoordCrash, CoordError, FleetOptions, FleetOutcome, FleetResult, ShardAttempt,
-    ShardReport, ShardRunner, ShardStatus,
+    run_fleet, CoordError, FleetOptions, FleetOutcome, FleetResult, ShardAttempt, ShardReport,
+    ShardRunner, ShardStatus,
 };
 pub use journal::{FleetEvent, FLEET_MANIFEST_FILE};

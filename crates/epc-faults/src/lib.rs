@@ -23,15 +23,19 @@
 //! [`NoFaults`] is the inert default. [`corrupt_dataset`] applies record
 //! corruption to an [`epc_model::Dataset`] in place and reports exactly
 //! which keys were hit, so tests can assert quarantine counts precisely.
+//! [`BatchScope`] and [`FleetFaults`] aim those faults at chosen ingest
+//! batches and fleet cities. Crash points at commit boundaries are not
+//! faults of a record or a call; they live with the journal they
+//! interrupt, as `epc_journal::Crash`.
 
 mod corrupt;
-mod crash;
 mod fleet;
 mod geocoder;
 mod injector;
+mod scope;
 
 pub use corrupt::corrupt_dataset;
-pub use crash::{BatchScope, CrashSpec, IngestCrash};
 pub use fleet::{CityFaultSpec, FleetFaults, StageKillSpec};
 pub use geocoder::FaultyGeocoder;
 pub use injector::{Corruption, DeterministicInjector, FaultInjector, NoFaults};
+pub use scope::BatchScope;

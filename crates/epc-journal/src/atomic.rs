@@ -27,6 +27,16 @@ pub struct ArtifactRecord {
 }
 
 impl ArtifactRecord {
+    /// The record describing `contents` stored as `file` — what
+    /// [`write_atomic`] returns for the same bytes.
+    pub fn of(file: &str, contents: &[u8]) -> Self {
+        ArtifactRecord {
+            file: file.to_owned(),
+            sha256: hash_hex(contents),
+            bytes: contents.len() as u64,
+        }
+    }
+
     /// Reads `self.file` under `dir` and verifies length and hash.
     /// Returns the content on success, a descriptive error otherwise.
     pub fn read_verified(&self, dir: &Path) -> io::Result<Vec<u8>> {
@@ -64,11 +74,7 @@ pub fn write_atomic(dir: &Path, name: &str, contents: &[u8]) -> io::Result<Artif
     drop(f);
     fs::rename(&tmp, dir.join(name))?;
     sync_dir(dir)?;
-    Ok(ArtifactRecord {
-        file: name.to_owned(),
-        sha256: hash_hex(contents),
-        bytes: contents.len() as u64,
-    })
+    Ok(ArtifactRecord::of(name, contents))
 }
 
 /// [`write_atomic`] addressed by full path instead of `(dir, name)`.

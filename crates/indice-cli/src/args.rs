@@ -1,6 +1,7 @@
 //! Dependency-free command-line argument parsing for the `indice` binary.
 
-use epc_faults::{BatchScope, CrashSpec, IngestCrash};
+use epc_faults::BatchScope;
+use epc_journal::{Crash, BATCH_CRASH, CITY_CRASH, STAGE_CRASH};
 use epc_query::Stakeholder;
 use indice::generations::RecomputeMode;
 use std::collections::HashMap;
@@ -63,7 +64,7 @@ pub enum Command {
         /// ends up quarantined.
         max_quarantine_frac: Option<f64>,
         /// Injected crash point for durability testing (`stage:point`).
-        crash_at: Option<CrashSpec>,
+        crash_at: Option<Crash<String>>,
         /// Write a metrics snapshot here after the run (`.json` selects
         /// the JSON codec, anything else the Prometheus-style text).
         metrics_out: Option<String>,
@@ -111,7 +112,7 @@ pub enum Command {
         /// Analytics recompute mode across generations.
         recompute: RecomputeMode,
         /// Injected crash at a batch boundary (`N:before|after|torn`).
-        crash_at_batch: Option<IngestCrash>,
+        crash_at_batch: Option<Crash<usize>>,
         /// Seed of the deterministic fault injector (chaos testing).
         fault_seed: u64,
         /// Fraction of records the injector corrupts (0 disables).
@@ -154,7 +155,7 @@ pub enum Command {
         fault_seed: u64,
         /// Crash the coordinator at a city boundary
         /// (`IDX:before` / `IDX:after`; durability testing, exit 70).
-        crash_at_city: Option<(usize, String)>,
+        crash_at_city: Option<Crash<usize>>,
     },
     /// Print usage.
     Help,
@@ -394,7 +395,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             };
             let crash_at = flags
                 .get("crash-at")
-                .map(|raw| CrashSpec::parse(raw).map_err(|e| format!("--crash-at: {e}")))
+                .map(|raw| Crash::parse(raw, &STAGE_CRASH).map_err(|e| format!("--crash-at: {e}")))
                 .transpose()?;
             Ok(Command::Run {
                 data: get("data")?.clone(),
@@ -466,7 +467,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             };
             let crash_at_batch = flags
                 .get("crash-at-batch")
-                .map(|raw| IngestCrash::parse(raw).map_err(|e| format!("--crash-at-batch: {e}")))
+                .map(|raw| {
+                    Crash::parse(raw, &BATCH_CRASH).map_err(|e| format!("--crash-at-batch: {e}"))
+                })
                 .transpose()?;
             let fault_seed: u64 = flags
                 .get("fault-seed")
@@ -646,25 +649,12 @@ fn parse_fleet(args: &[String]) -> Result<Command, String> {
         .unwrap_or(2024);
     let crash_at_city = flags
         .get("crash-at-city")
-        .map(|raw| -> Result<(usize, String), String> {
-            let (idx, point) = raw.split_once(':').ok_or_else(|| {
-                format!("--crash-at-city: expected IDX:before|after, got {raw:?}")
-            })?;
-            let idx: usize = idx
-                .parse()
-                .map_err(|e| format!("--crash-at-city index: {e}"))?;
-            if !matches!(point, "before" | "after") {
-                return Err(format!(
-                    "--crash-at-city point must be before or after, got {point:?}"
-                ));
-            }
-            Ok((idx, point.to_owned()))
-        })
+        .map(|raw| Crash::parse(raw, &CITY_CRASH).map_err(|e| format!("--crash-at-city: {e}")))
         .transpose()?;
     for (flag, idx) in [
         ("kill-city", kill_city),
         ("corrupt-city", corrupt_city),
-        ("crash-at-city", crash_at_city.as_ref().map(|(i, _)| *i)),
+        ("crash-at-city", crash_at_city.as_ref().map(|c| c.at)),
     ] {
         if idx.is_some_and(|i| i >= cities) {
             return Err(format!(
@@ -751,6 +741,7 @@ fn parse_flags(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epc_journal::CrashPoint;
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1078,8 +1069,9 @@ mod tests {
             Command::Run { crash_at, .. } => {
                 assert_eq!(
                     crash_at,
-                    Some(CrashSpec::Torn {
-                        stage: "analytics".into()
+                    Some(Crash {
+                        at: "analytics".to_owned(),
+                        point: CrashPoint::Torn
                     })
                 );
             }
@@ -1283,7 +1275,13 @@ mod tests {
                 assert_eq!(kill_attempt, Some(1));
                 assert_eq!(corrupt_city, Some(3));
                 assert_eq!(fault_rate, 0.2, "corrupt-city defaults the rate on");
-                assert_eq!(crash_at_city, Some((1, "after".into())));
+                assert_eq!(
+                    crash_at_city,
+                    Some(Crash {
+                        at: 1,
+                        point: CrashPoint::After
+                    })
+                );
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1311,6 +1309,8 @@ mod tests {
         assert!(f(&["--kill-city", "7"]).is_err(), "index out of range");
         assert!(f(&["--crash-at-city", "1"]).is_err());
         assert!(f(&["--crash-at-city", "1:during"]).is_err());
+        let err = f(&["--crash-at-city", "1:torn"]).unwrap_err();
+        assert!(err.starts_with("--crash-at-city: "), "{err}");
         assert!(f(&["--crash-at-city", "9:after"]).is_err());
     }
 
@@ -1373,7 +1373,13 @@ mod tests {
             } => {
                 assert!(resume);
                 assert_eq!(recompute, RecomputeMode::Warm);
-                assert_eq!(crash_at_batch, Some(IngestCrash::TornBatch { batch: 2 }));
+                assert_eq!(
+                    crash_at_batch,
+                    Some(Crash {
+                        at: 2,
+                        point: CrashPoint::Torn
+                    })
+                );
                 assert_eq!(fault_rate, 0.2, "corrupt-batches defaults the rate on");
                 assert_eq!(corrupt_batches, Some(BatchScope::Only(vec![1, 2])));
             }

@@ -11,13 +11,11 @@
 mod args;
 
 use args::{parse_args, Command, NoisePreset, STAGE_DEADLINE_ENV_VAR, USAGE};
-use epc_coord::{CoordCrash, RetryPolicy, ShardStatus};
-use epc_faults::{
-    CityFaultSpec, Corruption, CrashSpec, DeterministicInjector, FleetFaults, StageKillSpec,
-};
+use epc_coord::{RetryPolicy, ShardStatus};
+use epc_faults::{CityFaultSpec, Corruption, DeterministicInjector, FleetFaults, StageKillSpec};
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
-use epc_journal::write_atomic_path;
+use epc_journal::{write_atomic_path, Crash};
 use epc_model::{Dataset, Quarantine};
 use epc_synth::noise::{apply_noise, NoiseConfig};
 use epc_synth::{EpcGenerator, FleetConfig, SynthConfig};
@@ -268,7 +266,7 @@ fn run(
     fault_rate: f64,
     geocode_fail_rate: f64,
     max_quarantine_frac: Option<f64>,
-    crash_at: Option<&CrashSpec>,
+    crash_at: Option<&Crash<String>>,
     metrics_out: Option<&str>,
     trace_out: Option<&str>,
 ) -> Result<ExitCode, String> {
@@ -359,6 +357,9 @@ fn run(
              append); it was discarded and the affected stage replayed"
         );
     }
+    if let Some(why) = &output.resume_rejection {
+        eprintln!("resume: {why}");
+    }
 
     if let RunOutcome::Failed(e) = &output.outcome {
         print!("{}", output.report);
@@ -439,7 +440,7 @@ fn ingest(
     run_dir: &str,
     resume: bool,
     recompute: indice::RecomputeMode,
-    crash_at_batch: Option<&epc_faults::IngestCrash>,
+    crash_at_batch: Option<&Crash<usize>>,
     fault_seed: u64,
     fault_rate: f64,
     corrupt_batches: Option<&epc_faults::BatchScope>,
@@ -584,7 +585,7 @@ fn fleet(
     corrupt_city: Option<usize>,
     fault_rate: f64,
     fault_seed: u64,
-    crash_at_city: Option<(usize, String)>,
+    crash_at_city: Option<Crash<usize>>,
 ) -> Result<ExitCode, String> {
     let runtime = epc_runtime::RuntimeConfig::try_from_env()?;
     let plan = FleetConfig {
@@ -616,14 +617,6 @@ fn fleet(
         Some(plan_faults)
     };
 
-    let crash = crash_at_city.map(|(idx, point)| {
-        if point == "before" {
-            CoordCrash::BeforeCity(idx)
-        } else {
-            CoordCrash::AfterCommit(idx)
-        }
-    });
-
     let clock = epc_runtime::WallClock::new();
     let mut opts = indice::FleetRunOptions::new(out_dir, plan, &clock);
     opts.resume = resume;
@@ -634,7 +627,7 @@ fn fleet(
     };
     opts.max_failed = max_failed_cities;
     opts.faults = faults.as_ref();
-    opts.crash = crash;
+    opts.crash = crash_at_city;
     opts.runtime = runtime;
 
     let output = match indice::run_fleet(&opts) {

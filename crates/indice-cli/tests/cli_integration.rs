@@ -224,6 +224,59 @@ fn fault_injected_run_exits_degraded_with_partial_output() {
 }
 
 #[test]
+fn resume_after_torn_commit_reports_the_rejected_journal_entry() {
+    let data_dir = tmp_dir("torn-data");
+    let out_dir = tmp_dir("torn-out");
+    let o = run_cli(&[
+        "generate",
+        "--records",
+        "600",
+        "--seed",
+        "5",
+        "--out-dir",
+        data_dir.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "generate failed: {}", stderr(&o));
+    let data = data_dir.join("epcs.csv");
+    let streets = data_dir.join("street_map.txt");
+    let regions = data_dir.join("regions.json");
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "run",
+            "--data",
+            data.to_str().unwrap(),
+            "--streets",
+            streets.to_str().unwrap(),
+            "--regions",
+            regions.to_str().unwrap(),
+            "--stakeholder",
+            "citizen",
+        ];
+        args.extend_from_slice(extra);
+        run_cli(&args)
+    };
+    let dir = out_dir.to_str().unwrap();
+
+    let o = run(&["--out-dir", dir, "--crash-at", "dashboard:torn"]);
+    assert_eq!(o.status.code(), Some(70), "stderr: {}", stderr(&o));
+
+    // The torn dashboard commit fails hash validation: resume drops that
+    // journal entry and says so, naming the run directory and the seq.
+    let o = run(&["--resume", dir]);
+    assert!(o.status.success(), "resume failed: {}", stderr(&o));
+    let err = stderr(&o);
+    let line = err
+        .lines()
+        .find(|l| l.starts_with("resume: "))
+        .unwrap_or_else(|| panic!("no resume line on stderr: {err}"));
+    assert!(line.contains(dir), "{line}");
+    assert!(line.contains("seq 2 (dashboard) rejected"), "{line}");
+
+    cleanup(&data_dir);
+    cleanup(&out_dir);
+}
+
+#[test]
 fn corrupt_street_map_is_rejected() {
     let dir = tmp_dir("corrupt");
     let csv = dir.join("epcs.csv");

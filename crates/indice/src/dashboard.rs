@@ -311,35 +311,13 @@ pub fn drilldown_series(
     stakeholder: Stakeholder,
     top_k_rules: usize,
 ) -> Result<BTreeMap<String, String>, IndiceError> {
-    drilldown_series_with_runtime(
-        dataset,
-        hierarchy,
-        analytics,
-        stakeholder,
-        top_k_rules,
-        &epc_runtime::RuntimeConfig::sequential(),
-    )
-}
-
-/// [`drilldown_series`] with an explicit execution runtime: each zoom
-/// level renders as one coarse parallel task (the four dashboards share no
-/// state, and the page map is keyed by level name, so the output never
-/// depends on the thread budget).
-pub fn drilldown_series_with_runtime(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    analytics: &AnalyticsOutput,
-    stakeholder: Stakeholder,
-    top_k_rules: usize,
-    runtime: &epc_runtime::RuntimeConfig,
-) -> Result<BTreeMap<String, String>, IndiceError> {
     Ok(drilldown_series_detailed_with_runtime(
         dataset,
         hierarchy,
         analytics,
         stakeholder,
         top_k_rules,
-        runtime,
+        &epc_runtime::RuntimeConfig::sequential(),
     )?
     .into_iter()
     .map(|page| (page.file, page.html))
@@ -359,9 +337,11 @@ pub struct ZoomPage {
     pub markers: usize,
 }
 
-/// [`drilldown_series_with_runtime`], additionally reporting the per-zoom
-/// marker counts for observability. Pages come back in the fixed
-/// [`Granularity::ALL`] order, independent of the thread budget.
+/// [`drilldown_series`] with an explicit execution runtime, additionally
+/// reporting the per-zoom marker counts for observability. Each zoom level
+/// renders as one coarse parallel task (the four dashboards share no
+/// state), and pages come back in the fixed [`Granularity::ALL`] order, so
+/// the output never depends on the thread budget.
 pub fn drilldown_series_detailed_with_runtime(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,

@@ -14,9 +14,16 @@
 //! checkpoints, and the journal itself — is byte-identical to an
 //! uninterrupted run's.
 //!
+//! This module is also the one commit protocol behind every journaled
+//! pipeline run: `stage_files` is the run-directory layout (which files
+//! capture each stage's product), `stage_entry` builds a stage's journal
+//! line, and `commit_entry` appends a journal line and honours injected
+//! crash points ([`epc_journal::Crash`]). Incremental ingest
+//! ([`crate::generations`]) rebuilds its `current/` directory from the same
+//! three, so it cannot drift from a one-shot run's layout.
+//!
 //! The runner also hosts the stage deadline watchdog
-//! ([`crate::pipeline::StageDeadline`]) and honours injected crash points
-//! ([`epc_faults::CrashSpec`]) for durability testing.
+//! ([`crate::pipeline::StageDeadline`]).
 
 use crate::analytics::AnalyticsOutput;
 use crate::checkpoint;
@@ -27,14 +34,18 @@ use crate::pipeline::{
     StageDeadline, StageExec,
 };
 use crate::preprocess::PreprocessOutput;
-use epc_faults::{CrashSpec, FaultInjector};
+use epc_faults::FaultInjector;
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
-use epc_journal::{hash_hex, write_atomic, ArtifactRecord, Journal, StageEntry};
+use epc_journal::{
+    hash_hex, write_atomic_path, ArtifactRecord, Crash, CrashPoint, Journal, StageEntry,
+};
 use epc_model::{csv::to_csv, Dataset, Quarantine};
 use epc_query::stakeholder::Stakeholder;
 use epc_runtime::{PipelineReport, RuntimeConfig, StageReport};
 use epc_viz::dashboard::Dashboard;
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -54,8 +65,9 @@ pub struct DurableOptions<'a> {
     pub resume: bool,
     /// Optional per-stage deadline watchdog.
     pub deadline: Option<StageDeadline<'a>>,
-    /// Optional injected crash point (durability testing).
-    pub crash: Option<&'a CrashSpec>,
+    /// Optional injected crash point, keyed by stage name (durability
+    /// testing).
+    pub crash: Option<&'a Crash<String>>,
     /// Optional fault injector (chaos testing).
     pub injector: Option<&'a dyn FaultInjector>,
     /// Optional observability bundle: stage spans, journal hit/commit
@@ -89,7 +101,7 @@ impl<'a> DurableOptions<'a> {
     }
 
     /// Attaches an injected crash point (builder style).
-    pub fn with_crash(mut self, crash: &'a CrashSpec) -> Self {
+    pub fn with_crash(mut self, crash: &'a Crash<String>) -> Self {
         self.crash = Some(crash);
         self
     }
@@ -226,69 +238,121 @@ fn validate_prefix(
     (entries.len(), None)
 }
 
-/// Writes the checkpoints capturing a stage's product, if the product is
-/// present in the context. File paths in the returned records are relative
-/// to the run directory.
-fn commit_checkpoints(
+/// The files capturing stage `name`'s product, as `(path relative to the
+/// run directory, content)` pairs in commit order — the one statement of
+/// the run-directory layout. `None` when the product is absent (the
+/// supervisor degraded the stage). [`rehydrate`] is the inverse.
+pub(crate) fn stage_files<'c>(
     name: &str,
-    ctx: &PipelineContext<'_>,
-    run_dir: &Path,
-) -> Result<Option<Vec<ArtifactRecord>>, IndiceError> {
-    let ckpt_dir = run_dir.join(CHECKPOINT_DIR);
-    let under_ckpt = |rec: ArtifactRecord| ArtifactRecord {
-        file: format!("{CHECKPOINT_DIR}/{}", rec.file),
-        ..rec
-    };
+    ctx: &'c PipelineContext<'_>,
+) -> Option<Vec<(String, Cow<'c, str>)>> {
+    let checkpoint = |file: &str, text: String| (format!("{CHECKPOINT_DIR}/{file}"), text.into());
     match name {
         "preprocess" => {
-            let Some(p) = ctx.preprocess.as_ref() else {
-                return Ok(None);
-            };
+            let p = ctx.preprocess.as_ref()?;
             let text = checkpoint::encode_preprocess(p, &ctx.quarantine);
-            let rec = dur(
-                write_atomic(&ckpt_dir, "preprocess.ckpt.json", text.as_bytes()),
-                "writing preprocess checkpoint",
-            )?;
-            Ok(Some(vec![under_ckpt(rec)]))
+            Some(vec![checkpoint("preprocess.ckpt.json", text)])
         }
         "analytics" => {
-            let Some(a) = ctx.analytics.as_ref() else {
-                return Ok(None);
-            };
-            let text = checkpoint::encode_analytics(a);
-            let rec = dur(
-                write_atomic(&ckpt_dir, "analytics.ckpt.json", text.as_bytes()),
-                "writing analytics checkpoint",
-            )?;
-            Ok(Some(vec![under_ckpt(rec)]))
+            let text = checkpoint::encode_analytics(ctx.analytics.as_ref()?);
+            Some(vec![checkpoint("analytics.ckpt.json", text)])
         }
         "dashboard" => {
-            let Some(d) = ctx.dashboard.as_ref() else {
-                return Ok(None);
-            };
-            let mut records = Vec::with_capacity(ctx.artifacts.len() + 1);
-            records.push(dur(
-                write_atomic(run_dir, DASHBOARD_FILE, d.render_html().as_bytes()),
-                "writing dashboard.html",
-            )?);
-            for (file, content) in &ctx.artifacts {
-                records.push(dur(
-                    write_atomic(run_dir, file, content.as_bytes()),
-                    "writing artifact",
-                )?);
-            }
-            Ok(Some(records))
+            let html = ctx.dashboard.as_ref()?.render_html();
+            let mut files = vec![(DASHBOARD_FILE.to_owned(), Cow::Owned(html))];
+            files.extend(
+                ctx.artifacts
+                    .iter()
+                    .map(|(file, content)| (file.clone(), Cow::Borrowed(content.as_str()))),
+            );
+            Some(files)
         }
-        other => Err(IndiceError::Internal(format!(
-            "no checkpoint codec for stage '{other}'"
-        ))),
+        _ => None,
+    }
+}
+
+/// Atomically writes `content` to `rel` under `root` (parent directories
+/// created as needed) and returns its record, path kept relative to
+/// `root`.
+pub(crate) fn write_file(
+    root: &Path,
+    rel: &str,
+    content: &str,
+) -> Result<ArtifactRecord, IndiceError> {
+    let rec = dur(
+        write_atomic_path(&root.join(rel), content.as_bytes()),
+        &format!("writing {rel}"),
+    )?;
+    Ok(ArtifactRecord {
+        file: rel.to_owned(),
+        ..rec
+    })
+}
+
+/// The journal line committing stage `name` at position `seq`, from its
+/// report row. `checkpoints` is `None` for a degraded (product-less)
+/// stage.
+pub(crate) fn stage_entry(
+    seq: usize,
+    name: &str,
+    report: &StageReport,
+    reasons: Vec<String>,
+    checkpoints: Option<Vec<ArtifactRecord>>,
+    config_fingerprint: &str,
+    input_hash: &str,
+) -> StageEntry {
+    StageEntry {
+        seq,
+        stage: name.to_owned(),
+        config_fingerprint: config_fingerprint.to_owned(),
+        input_hash: input_hash.to_owned(),
+        degraded: checkpoints.is_none(),
+        reasons,
+        records_in: report.records_in,
+        records_out: report.records_out,
+        quarantined: report.quarantined,
+        faults: report.faults.clone(),
+        checkpoints: checkpoints.unwrap_or_default(),
+    }
+}
+
+/// The error an injected crash at `unit` returns.
+pub(crate) fn crashed(unit: &str, point: CrashPoint) -> IndiceError {
+    IndiceError::CrashInjected {
+        stage: unit.to_owned(),
+        point: point.as_str().to_owned(),
+    }
+}
+
+/// The commit step of a durable stage or an ingest generation: everything
+/// `entry` references is already durable, and appending its journal line
+/// is the commit point. An injected crash at `unit` fires here: `torn`
+/// truncates the first of `checkpoints` (relative to `root`) before the
+/// append, and `torn` and `after` abort once the line is durable.
+pub(crate) fn commit_entry<E: Serialize + Deserialize>(
+    journal: &Journal<E>,
+    entry: &E,
+    checkpoints: &[ArtifactRecord],
+    root: &Path,
+    crash: Option<CrashPoint>,
+    unit: &str,
+) -> Result<(), IndiceError> {
+    if crash == Some(CrashPoint::Torn) {
+        if let Some(first) = checkpoints.first() {
+            tear_checkpoint(root, first)?;
+        }
+    }
+    dur(journal.append(entry), &format!("committing {unit}"))?;
+    match crash {
+        Some(point @ (CrashPoint::After | CrashPoint::Torn)) => Err(crashed(unit, point)),
+        _ => Ok(()),
     }
 }
 
 /// Truncates a committed checkpoint to half its recorded length — the torn
-/// write a [`CrashSpec::Torn`] leaves behind. The journal entry keeps the
+/// write a [`CrashPoint::Torn`] leaves behind. The journal entry keeps the
 /// full-content hash, so resume validation must catch the mismatch.
-pub(crate) fn tear_checkpoint(run_dir: &Path, rec: &ArtifactRecord) -> Result<(), IndiceError> {
+fn tear_checkpoint(run_dir: &Path, rec: &ArtifactRecord) -> Result<(), IndiceError> {
     let path = run_dir.join(&rec.file);
     let f = dur(
         fs::OpenOptions::new().write(true).open(&path),
@@ -350,17 +414,6 @@ fn rehydrate(
         }
     }
     Ok(())
-}
-
-/// Whether the stage's product is present in the context (used to decide
-/// between a checkpointed and a product-less degraded journal entry).
-pub(crate) fn product_present(ctx: &PipelineContext<'_>, name: &str) -> bool {
-    match name {
-        "preprocess" => ctx.preprocess.is_some(),
-        "analytics" => ctx.analytics.is_some(),
-        "dashboard" => ctx.dashboard.is_some(),
-        _ => false,
-    }
 }
 
 pub(crate) fn run_durable_inner(
@@ -463,12 +516,9 @@ pub(crate) fn run_durable_inner(
             continue;
         }
 
-        let crash_here = opts.crash.filter(|spec| spec.stage() == name);
-        if let Some(spec @ CrashSpec::Before { .. }) = crash_here {
-            return Err(IndiceError::CrashInjected {
-                stage: name.to_owned(),
-                point: spec.point().to_owned(),
-            });
+        let crash_here = opts.crash.and_then(|c| c.point_for(name));
+        if crash_here == Some(CrashPoint::Before) {
+            return Err(crashed(name, CrashPoint::Before));
         }
 
         let exec = execute_stage_supervised(
@@ -507,25 +557,28 @@ pub(crate) fn run_durable_inner(
         };
         reasons.extend(stage_reasons.iter().cloned());
 
-        // Commit: checkpoint files first, then the journal line.
-        let checkpoints = commit_checkpoints(name, &ctx, run_dir)?;
+        // Commit: the stage's files first, then its journal line.
+        let checkpoints = stage_files(name, &ctx)
+            .map(|files| {
+                files
+                    .iter()
+                    .map(|(rel, content)| write_file(run_dir, rel, content))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .transpose()?;
         let sr = report
             .stages
             .last()
             .ok_or_else(|| IndiceError::Internal("stage executed without a report entry".into()))?;
-        let entry = StageEntry {
-            seq: i,
-            stage: name.to_owned(),
-            config_fingerprint: config_fp.clone(),
-            input_hash: input_hash.clone(),
-            degraded: !product_present(&ctx, name),
-            reasons: stage_reasons,
-            records_in: sr.records_in,
-            records_out: sr.records_out,
-            quarantined: sr.quarantined,
-            faults: sr.faults.clone(),
-            checkpoints: checkpoints.unwrap_or_default(),
-        };
+        let entry = stage_entry(
+            i,
+            name,
+            sr,
+            stage_reasons,
+            checkpoints,
+            &config_fp,
+            &input_hash,
+        );
         if let Some(obs) = ctx.obs {
             let bytes: u64 = entry.checkpoints.iter().map(|r| r.bytes).sum();
             obs.point(
@@ -540,23 +593,14 @@ pub(crate) fn run_durable_inner(
             m.inc("checkpoint_files_total", entry.checkpoints.len() as u64);
             m.inc("checkpoint_bytes_total", bytes);
         }
-        if let Some(spec @ CrashSpec::Torn { .. }) = crash_here {
-            if let Some(first) = entry.checkpoints.first() {
-                tear_checkpoint(run_dir, first)?;
-            }
-            dur(journal.append(&entry), "appending journal entry")?;
-            return Err(IndiceError::CrashInjected {
-                stage: name.to_owned(),
-                point: spec.point().to_owned(),
-            });
-        }
-        dur(journal.append(&entry), "appending journal entry")?;
-        if let Some(spec @ CrashSpec::After { .. }) = crash_here {
-            return Err(IndiceError::CrashInjected {
-                stage: name.to_owned(),
-                point: spec.point().to_owned(),
-            });
-        }
+        commit_entry(
+            &journal,
+            &entry,
+            &entry.checkpoints,
+            run_dir,
+            crash_here,
+            name,
+        )?;
     }
 
     let outcome = finish_outcome(&ctx, reasons);

@@ -31,10 +31,10 @@ pub enum IndiceError {
     },
     /// A durable run's journal, checkpoint, or artifact I/O failed.
     Durability(String),
-    /// An injected crash point fired ([`epc_faults::CrashSpec`]); the run
+    /// An injected crash point fired ([`epc_journal::Crash`]); the run
     /// "died" here and is expected to be resumed.
     CrashInjected {
-        /// Stage whose commit the crash targeted.
+        /// The commit the crash targeted: a stage name, or `ingest batch N`.
         stage: String,
         /// Crash point (`before`, `after`, `torn`).
         point: String,

@@ -22,11 +22,11 @@ use crate::engine::Indice;
 use crate::error::IndiceError;
 use crate::pipeline::RunOutcome;
 use epc_coord::{
-    CoordCrash, CoordError, FleetOptions, FleetResult, RetryPolicy, ShardAttempt, ShardReport,
-    ShardRunner, ShardStatus,
+    CoordError, FleetOptions, FleetResult, RetryPolicy, ShardAttempt, ShardReport, ShardRunner,
+    ShardStatus,
 };
 use epc_faults::FleetFaults;
-use epc_journal::{hash_hex, write_atomic, ArtifactRecord};
+use epc_journal::{hash_hex, write_atomic, ArtifactRecord, Crash};
 use epc_obs::{Histogram, MetricsRegistry, MetricsSnapshot, Obs};
 use epc_query::stakeholder::Stakeholder;
 use epc_runtime::{Clock, RuntimeConfig};
@@ -66,8 +66,9 @@ pub struct FleetRunOptions<'a> {
     pub max_failed: Option<usize>,
     /// Per-city fault plan (chaos testing).
     pub faults: Option<&'a FleetFaults>,
-    /// Injected coordinator crash point (chaos testing).
-    pub crash: Option<CoordCrash>,
+    /// Injected coordinator crash point, keyed by city index (chaos
+    /// testing).
+    pub crash: Option<Crash<usize>>,
     /// Clock for shard observability (tests pass a manual clock).
     pub clock: &'a dyn Clock,
     /// Intra-shard thread budget; fleet outputs are bitwise invariant to
@@ -131,11 +132,7 @@ fn fleet_fingerprint(opts: &FleetRunOptions<'_>) -> String {
 /// dashboard.
 fn record_existing(fleet_dir: &Path, rel: &str) -> Result<Option<ArtifactRecord>, CoordError> {
     match fs::read(fleet_dir.join(rel)) {
-        Ok(bytes) => Ok(Some(ArtifactRecord {
-            file: rel.to_owned(),
-            sha256: hash_hex(&bytes),
-            bytes: bytes.len() as u64,
-        })),
+        Ok(bytes) => Ok(Some(ArtifactRecord::of(rel, &bytes))),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(CoordError::Io(format!("hashing shard artifact {rel}: {e}"))),
     }
@@ -421,7 +418,7 @@ pub fn run_fleet(opts: &FleetRunOptions<'_>) -> Result<FleetRunOutput, IndiceErr
         policy: opts.policy.clone(),
         fingerprint: fleet_fingerprint(opts),
         max_failed: opts.max_failed,
-        crash: opts.crash,
+        crash: opts.crash.clone(),
     };
     let runner = PipelineShardRunner { opts, specs };
     let result = epc_coord::run_fleet(&cities, &coord_opts, &runner).map_err(|e| match e {

@@ -20,39 +20,39 @@
 //! - the generation's manifest line is appended **last** — it is the
 //!   commit point, mirroring `epc-journal`'s discipline.
 //!
-//! Crash points ([`epc_faults::IngestCrash`]) fire at every batch
-//! boundary; a killed ingest resumed with [`IngestOptions::resume`]
-//! finishes with a manifest and a `current/` tree byte-identical to an
-//! uninterrupted ingest.
+//! The `current/` file set, its journal lines and the generation's commit
+//! step come from [`crate::durable`]'s commit protocol (`stage_files`,
+//! `stage_entry`, `commit_entry`), so they cannot drift from a one-shot
+//! run's. Crash points ([`epc_journal::Crash`], keyed by batch index) fire
+//! at every batch boundary; a killed ingest resumed with
+//! [`IngestOptions::resume`] finishes with a manifest and a `current/`
+//! tree byte-identical to an uninterrupted ingest.
 
 use crate::checkpoint;
 use crate::config::IndiceConfig;
 use crate::durable::{
-    config_fingerprint, dur, product_present, tear_checkpoint, CHECKPOINT_DIR, DASHBOARD_FILE,
+    commit_entry, config_fingerprint, crashed, dur, stage_entry, stage_files, write_file,
+    CHECKPOINT_DIR,
 };
 use crate::error::IndiceError;
 use crate::pipeline::{
-    execute_stage_supervised, finish_outcome, supervised_stages, PipelineContext, RunOutcome,
-    StageExec,
+    execute_stage_supervised, finish_outcome, select_category, supervised_stages, PipelineContext,
+    RunOutcome, StageExec,
 };
 use crate::preprocess::{clean_phase, merge_clean_phases, outlier_phase, CleanPhase};
-use epc_faults::{BatchScope, FaultInjector, IngestCrash};
+use epc_faults::{BatchScope, FaultInjector};
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
 use epc_ingest::{
     gen_dir_name, validate_chain, GenerationEntry, GenerationOutcome, CURRENT_DIR,
     GENERATIONS_FILE, GENESIS, GENS_DIR,
 };
-use epc_journal::{
-    hash_hex, write_atomic_path, ArtifactRecord, Journal, StageEntry, MANIFEST_FILE,
-};
+use epc_journal::{hash_hex, ArtifactRecord, Crash, CrashPoint, Journal, MANIFEST_FILE};
 use epc_model::csv::to_csv;
-use epc_model::wellknown as wk;
 use epc_model::Dataset;
-use epc_query::predicate::Predicate;
-use epc_query::query::Query;
 use epc_query::stakeholder::Stakeholder;
 use epc_runtime::{PipelineReport, RuntimeConfig, StageReport};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -137,8 +137,9 @@ pub struct IngestOptions<'a> {
     pub resume: bool,
     /// Analytics recompute mode for newly sealed generations.
     pub recompute: RecomputeMode,
-    /// Injected crash point, honoured at the matching batch boundary.
-    pub crash: Option<&'a IngestCrash>,
+    /// Injected crash point, keyed by batch index and honoured at that
+    /// batch's boundary.
+    pub crash: Option<&'a Crash<usize>>,
     /// Fault injector consulted while processing batches [`BatchScope`]
     /// selects (`None`: production run).
     pub injector: Option<&'a dyn FaultInjector>,
@@ -176,7 +177,7 @@ impl<'a> IngestOptions<'a> {
     }
 
     /// Injects a crash at a batch boundary.
-    pub fn with_crash(mut self, crash: &'a IngestCrash) -> Self {
+    pub fn with_crash(mut self, crash: &'a Crash<usize>) -> Self {
         self.crash = Some(crash);
         self
     }
@@ -252,26 +253,6 @@ pub struct IngestOutput {
 /// The relative path of generation `seq`'s clean delta.
 fn delta_rel(seq: usize) -> String {
     format!("{GENS_DIR}/{}/{CLEAN_DELTA_FILE}", gen_dir_name(seq))
-}
-
-/// An [`ArtifactRecord`] for `contents` at relative path `file`, equal to
-/// what `write_atomic` would return for the same bytes.
-fn record_for(file: &str, contents: &str) -> ArtifactRecord {
-    ArtifactRecord {
-        file: file.to_owned(),
-        sha256: hash_hex(contents.as_bytes()),
-        bytes: contents.len() as u64,
-    }
-}
-
-/// Category selection, mirroring `PreprocessStage` exactly (the ingest
-/// equivalence depends on selection commuting with concatenation, which
-/// holds because it is a row-wise filter).
-fn select_category(dataset: &Dataset, config: &IndiceConfig) -> Result<Dataset, IndiceError> {
-    match &config.building_category {
-        Some(cat) => Ok(Query::filtered(Predicate::eq(wk::BUILDING_CATEGORY, cat)).run(dataset)?),
-        None => Ok(dataset.clone()),
-    }
 }
 
 /// Validates the sealed prefix against the provided batches and the
@@ -482,16 +463,17 @@ pub fn ingest(
     }
 
     // Warm-start state for the first reprocessed generation comes from
-    // the sealed cumulative analytics checkpoint, when one exists.
+    // the sealed cumulative analytics checkpoint, when one verifies.
     let mut warm_centroids: Option<epc_mining::Matrix> = None;
     if opts.recompute == RecomputeMode::Warm && valid > 0 {
-        if let Ok(text) =
-            fs::read_to_string(current_dir.join(CHECKPOINT_DIR).join("analytics.ckpt.json"))
-        {
-            if let Ok(a) = checkpoint::decode_analytics(&text) {
-                warm_centroids = Some(a.kmeans.centroids);
-            }
-        }
+        warm_centroids = Journal::at(&current_dir)
+            .load()
+            .ok()
+            .and_then(|j| j.entries.into_iter().find(|e| e.stage == "analytics"))
+            .and_then(|e| e.checkpoints.first()?.read_verified(&current_dir).ok())
+            .and_then(|bytes| String::from_utf8(bytes).ok())
+            .and_then(|text| checkpoint::decode_analytics(&text).ok())
+            .map(|a| a.kmeans.centroids);
     }
 
     let mut processed: Vec<String> = Vec::new();
@@ -500,12 +482,10 @@ pub fn ingest(
     let mut carried_total = 0usize;
 
     for (i, batch) in batches.iter().enumerate().skip(valid) {
-        let crash_here = opts.crash.filter(|c| c.batch() == i);
-        if let Some(c @ IngestCrash::BeforeBatch { .. }) = crash_here {
-            return Err(IndiceError::CrashInjected {
-                stage: format!("ingest batch {i}"),
-                point: c.point().to_owned(),
-            });
+        let unit = format!("ingest batch {i}");
+        let crash_here = opts.crash.and_then(|c| c.point_for(&i));
+        if crash_here == Some(CrashPoint::Before) {
+            return Err(crashed(&unit, CrashPoint::Before));
         }
 
         let injector: Option<&dyn FaultInjector> = opts
@@ -577,16 +557,7 @@ pub fn ingest(
 
                 // Seal the clean delta before touching cumulative state.
                 let delta_text = checkpoint::encode_clean_phase(&phase);
-                let rel = delta_rel(i);
-                let written = dur(
-                    write_atomic_path(&run_dir.join(&rel), delta_text.as_bytes()),
-                    "writing clean delta",
-                )?;
-                let delta_rec = ArtifactRecord {
-                    file: rel,
-                    sha256: written.sha256,
-                    bytes: written.bytes,
-                };
+                let delta_rec = write_file(run_dir, &delta_rel(i), &delta_text)?;
 
                 // Fold the batch into the cumulative state.
                 let batch_offset: usize = phases.iter().map(|p| p.input_rows).sum();
@@ -677,73 +648,48 @@ pub fn ingest(
                     warm_centroids = ctx.analytics.as_ref().map(|a| a.kmeans.centroids.clone());
                 }
 
-                // Compose the full `current/` file set (content-first so
-                // unchanged files can be carried without rewriting).
-                let mut files: Vec<(String, String)> = Vec::new();
-                let mut stage_ckpts: Vec<Vec<ArtifactRecord>> = Vec::new();
-                {
-                    let pre_ref = ctx.preprocess.as_ref().ok_or_else(|| {
-                        IndiceError::Internal("preprocess product missing".into())
-                    })?;
-                    let path = format!("{CHECKPOINT_DIR}/preprocess.ckpt.json");
-                    let text = checkpoint::encode_preprocess(pre_ref, &ctx.quarantine);
-                    stage_ckpts.push(vec![record_for(&path, &text)]);
-                    files.push((path, text));
-                }
-                match ctx.analytics.as_ref() {
-                    Some(a) => {
-                        let path = format!("{CHECKPOINT_DIR}/analytics.ckpt.json");
-                        let text = checkpoint::encode_analytics(a);
-                        stage_ckpts.push(vec![record_for(&path, &text)]);
-                        files.push((path, text));
-                    }
-                    None => stage_ckpts.push(Vec::new()),
-                }
-                match ctx.dashboard.as_ref() {
-                    Some(d) => {
-                        let mut recs = Vec::with_capacity(ctx.artifacts.len() + 1);
-                        let html = d.render_html();
-                        recs.push(record_for(DASHBOARD_FILE, &html));
-                        files.push((DASHBOARD_FILE.to_owned(), html));
-                        for (file, content) in &ctx.artifacts {
-                            recs.push(record_for(file, content));
-                            files.push((file.clone(), content.clone()));
-                        }
-                        stage_ckpts.push(recs);
-                    }
-                    None => stage_ckpts.push(Vec::new()),
-                }
-
-                // The cumulative journal: byte-identical to the one a
-                // one-shot durable run would have appended.
+                // The full `current/` file set with its records, and the
+                // cumulative journal — byte-identical to a one-shot durable
+                // run's (content-first so unchanged files can be carried
+                // without rewriting).
+                let mut files: Vec<(ArtifactRecord, Cow<str>)> = Vec::new();
                 let mut journal = Vec::with_capacity(stages.len());
-                for (si, ((stage, _), ckpts)) in stages.iter().zip(&stage_ckpts).enumerate() {
+                for (si, (stage, _)) in stages.iter().enumerate() {
                     let name = stage.name();
                     let sr = report.stages.get(si).ok_or_else(|| {
                         IndiceError::Internal("stage executed without a report entry".into())
                     })?;
-                    journal.push(StageEntry {
-                        seq: si,
-                        stage: name.to_owned(),
-                        config_fingerprint: config_fp.clone(),
-                        input_hash: cumulative_input_hash.clone(),
-                        degraded: !product_present(&ctx, name),
-                        reasons: stage_reasons.get(si).cloned().unwrap_or_default(),
-                        records_in: sr.records_in,
-                        records_out: sr.records_out,
-                        quarantined: sr.quarantined,
-                        faults: sr.faults.clone(),
-                        checkpoints: ckpts.clone(),
+                    let staged: Option<Vec<_>> = stage_files(name, &ctx).map(|fs| {
+                        fs.into_iter()
+                            .map(|(rel, content)| {
+                                (ArtifactRecord::of(&rel, content.as_bytes()), content)
+                            })
+                            .collect()
                     });
+                    let checkpoints = staged
+                        .as_ref()
+                        .map(|fs| fs.iter().map(|(rec, _)| rec.clone()).collect());
+                    journal.push(stage_entry(
+                        si,
+                        name,
+                        sr,
+                        stage_reasons.get(si).cloned().unwrap_or_default(),
+                        checkpoints,
+                        &config_fp,
+                        &cumulative_input_hash,
+                    ));
+                    files.extend(staged.into_iter().flatten());
                 }
                 let journal_text = dur(Journal::encode(&journal), "encoding cumulative journal")?;
-                files.push((MANIFEST_FILE.to_owned(), journal_text));
+                let rec = ArtifactRecord::of(MANIFEST_FILE, journal_text.as_bytes());
+                files.push((rec, Cow::Owned(journal_text)));
 
                 // Write changed files, carry the rest; drop leftovers so
                 // `current/` stays tree-identical to a one-shot run dir.
                 let prev_map: BTreeMap<&str, &ArtifactRecord> =
                     prev_current.iter().map(|r| (r.file.as_str(), r)).collect();
-                let new_names: BTreeSet<&str> = files.iter().map(|(f, _)| f.as_str()).collect();
+                let new_names: BTreeSet<&str> =
+                    files.iter().map(|(rec, _)| rec.file.as_str()).collect();
                 for rec in &prev_current {
                     if !new_names.contains(rec.file.as_str()) {
                         let _ = fs::remove_file(current_dir.join(&rec.file));
@@ -752,20 +698,16 @@ pub fn ingest(
                 let mut current_records = Vec::with_capacity(files.len());
                 let mut written = 0usize;
                 let mut carried = 0usize;
-                for (file, content) in &files {
-                    let rec = record_for(file, content);
-                    let unchanged = prev_map.get(file.as_str()) == Some(&&rec)
+                for (rec, content) in &files {
+                    let unchanged = prev_map.get(rec.file.as_str()) == Some(&rec)
                         && rec.read_verified(&current_dir).is_ok();
                     if unchanged {
                         carried += 1;
                     } else {
-                        dur(
-                            write_atomic_path(&current_dir.join(file), content.as_bytes()),
-                            "writing cumulative artifact",
-                        )?;
+                        write_file(&current_dir, &rec.file, content)?;
                         written += 1;
                     }
-                    current_records.push(rec);
+                    current_records.push(rec.clone());
                 }
                 written_total += written;
                 carried_total += carried;
@@ -813,17 +755,14 @@ pub fn ingest(
 
         // Commit point: everything the entry references is durable; the
         // manifest line seals the generation.
-        if let Some(c @ IngestCrash::TornBatch { .. }) = crash_here {
-            if let Some(first) = entry.checkpoints.first() {
-                tear_checkpoint(run_dir, first)?;
-            }
-            dur(manifest.append(&entry), "appending generation entry")?;
-            return Err(IndiceError::CrashInjected {
-                stage: format!("ingest batch {i}"),
-                point: c.point().to_owned(),
-            });
-        }
-        dur(manifest.append(&entry), "appending generation entry")?;
+        commit_entry(
+            &manifest,
+            &entry,
+            &entry.checkpoints,
+            run_dir,
+            crash_here,
+            &unit,
+        )?;
         if let Some(obs) = opts.obs {
             obs.metrics().inc("ingest_generations_sealed", 1);
         }
@@ -831,12 +770,6 @@ pub fn ingest(
         parent = entry.chain_hash();
         prev_current = entry.current.clone();
         entries.push(entry);
-        if let Some(c @ IngestCrash::AfterCommit { .. }) = crash_here {
-            return Err(IndiceError::CrashInjected {
-                stage: format!("ingest batch {i}"),
-                point: c.point().to_owned(),
-            });
-        }
     }
 
     // The worst outcome across generations, with reasons in sequence

@@ -165,6 +165,20 @@ pub trait Stage {
     fn run(&self, ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError>;
 }
 
+/// Data selection (§2.2.1): the rows of the configured building category
+/// (the case study filters on E.1.1), or every row when none is set. A
+/// row-wise filter, so it commutes with concatenating batches — ingest's
+/// batched == one-shot equivalence relies on that.
+pub(crate) fn select_category(
+    dataset: &Dataset,
+    config: &IndiceConfig,
+) -> Result<Dataset, IndiceError> {
+    match &config.building_category {
+        Some(cat) => Ok(Query::filtered(Predicate::eq(wk::BUILDING_CATEGORY, cat)).run(dataset)?),
+        None => Ok(dataset.clone()),
+    }
+}
+
 /// Stage 1 — category selection (§2.2.1) followed by geospatial cleaning
 /// and outlier removal (§2.1). Fills [`PipelineContext::preprocess`].
 pub struct PreprocessStage;
@@ -175,13 +189,7 @@ impl Stage for PreprocessStage {
     }
 
     fn run(&self, ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
-        // Data selection: the case study filters on E.1.1.
-        let selected = match &ctx.config.building_category {
-            Some(cat) => {
-                Query::filtered(Predicate::eq(wk::BUILDING_CATEGORY, cat)).run(ctx.dataset)?
-            }
-            None => ctx.dataset.clone(),
-        };
+        let selected = select_category(ctx.dataset, &ctx.config)?;
         if selected.is_empty() {
             return Err(IndiceError::EmptyCollection("category selection"));
         }

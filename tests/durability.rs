@@ -12,8 +12,7 @@
 // Test/demo code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_faults::CrashSpec;
-use epc_journal::{Journal, MANIFEST_FILE};
+use epc_journal::{Crash, Journal, MANIFEST_FILE, STAGE_CRASH};
 use epc_query::Stakeholder;
 use epc_runtime::{ManualClock, RuntimeConfig};
 use epc_synth::city::CityConfig;
@@ -163,7 +162,7 @@ fn crash_resume_matrix_restores_byte_identical_runs() {
     for (si, stage) in STAGES.iter().enumerate() {
         for point in ["before", "after", "torn"] {
             let context = format!("{stage}:{point}");
-            let spec = CrashSpec::parse(&context).expect("valid spec");
+            let spec = Crash::parse(&context, &STAGE_CRASH).expect("valid spec");
             let dir = run_dir(&format!("crash-{stage}-{point}"));
 
             // The "process" dies at the injected crash point...
@@ -198,6 +197,17 @@ fn crash_resume_matrix_restores_byte_identical_runs() {
                 )
                 .expect("resume succeeds");
             assert!(out.outcome.produced_output(), "{context}: {}", out.outcome);
+
+            // Only the torn commit leaves a journal entry that fails
+            // validation; its rejection names the run directory and seq.
+            match (point, &out.resume_rejection) {
+                ("torn", Some(why)) => {
+                    assert!(why.contains(&dir.display().to_string()), "{context}: {why}");
+                    assert!(why.contains(&format!("seq {si} ")), "{context}: {why}");
+                }
+                ("torn", None) => panic!("{context}: torn commit not rejected"),
+                (_, rejection) => assert_eq!(rejection, &None, "{context}"),
+            }
 
             // A torn checkpoint must fail hash validation, so the crashed
             // stage is replayed; a clean `after` commit is a journal hit.
@@ -244,7 +254,7 @@ fn resume_is_byte_identical_across_thread_budgets() {
         )
         .expect("baseline run");
 
-    let spec = CrashSpec::parse("analytics:before").expect("valid spec");
+    let spec = Crash::parse("analytics:before", &STAGE_CRASH).expect("valid spec");
     for resume_threads in [1usize, 2, 8] {
         let dir = run_dir(&format!("threads-{resume_threads}"));
         engine_at(2)
@@ -408,6 +418,8 @@ fn resume_rejects_a_journal_from_different_inputs() {
         .expect("resume succeeds");
     assert!(out.journal_hits.is_empty(), "stale journal must not hit");
     assert_eq!(out.replayed, STAGES);
+    let why = out.resume_rejection.expect("the stale journal is rejected");
+    assert!(why.contains("stale config fingerprint"), "{why}");
     assert_eq!(
         Journal::at(&dir)
             .load()

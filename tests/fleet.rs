@@ -11,8 +11,9 @@
 // Test/demo code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_coord::{CoordCrash, FleetOutcome, RetryPolicy, ShardStatus, FLEET_MANIFEST_FILE};
+use epc_coord::{FleetOutcome, RetryPolicy, ShardStatus, FLEET_MANIFEST_FILE};
 use epc_faults::{CityFaultSpec, FleetFaults, StageKillSpec};
+use epc_journal::{Crash, CrashPoint};
 use epc_runtime::{ManualClock, RuntimeConfig};
 use epc_synth::FleetConfig;
 use indice::fleet::{run_fleet, FleetRunOptions, FleetRunOutput, CITIES_DIR};
@@ -79,7 +80,7 @@ fn run_with(
     threads: usize,
     resume: bool,
     faults: Option<&FleetFaults>,
-    crash: Option<CoordCrash>,
+    crash: Option<Crash<usize>>,
     max_attempts: u32,
 ) -> Result<FleetRunOutput, IndiceError> {
     let clock = ManualClock::advancing(1_000);
@@ -248,7 +249,7 @@ fn city_corruption_is_isolated_to_its_city() {
 /// Runs the crash → resume loop for one crash point and asserts the
 /// resumed fleet is byte-identical to an uninterrupted one, with the
 /// journal-verified hit/replay split.
-fn assert_crash_resume(tag: &str, crash: CoordCrash, expect_hits: &[usize], threads: usize) {
+fn assert_crash_resume(tag: &str, crash: Crash<usize>, expect_hits: &[usize], threads: usize) {
     let (base_dir, _) = baseline(&format!("{tag}-base"), threads);
     let dir = fleet_dir(tag);
     let err = run_with(&dir, threads, false, None, Some(crash), 2)
@@ -291,7 +292,10 @@ fn coordinator_crash_between_shard_commits_resumes_byte_identically() {
     for threads in THREAD_MATRIX {
         assert_crash_resume(
             &format!("crash-after0-t{threads}"),
-            CoordCrash::AfterCommit(0),
+            Crash {
+                at: 0,
+                point: CrashPoint::After,
+            },
             &[0],
             threads,
         );
@@ -300,14 +304,22 @@ fn coordinator_crash_between_shard_commits_resumes_byte_identically() {
 
 #[test]
 fn coordinator_crash_before_last_city_resumes_byte_identically() {
-    assert_crash_resume("crash-before2", CoordCrash::BeforeCity(2), &[0, 1], 2);
+    let crash = Crash {
+        at: 2,
+        point: CrashPoint::Before,
+    };
+    assert_crash_resume("crash-before2", crash, &[0, 1], 2);
 }
 
 #[test]
 fn torn_fleet_journal_is_reported_and_resumes_byte_identically() {
     let (base_dir, _) = baseline("torn-base", 2);
     let dir = fleet_dir("torn");
-    run_with(&dir, 2, false, None, Some(CoordCrash::AfterCommit(1)), 2)
+    let crash = Crash {
+        at: 1,
+        point: CrashPoint::After,
+    };
+    run_with(&dir, 2, false, None, Some(crash), 2)
         .expect_err("injected coordinator crash must surface as an error");
     // Cut the journal's last line (city 1's commit) mid-line: the state a
     // kill during the append leaves behind.

@@ -12,7 +12,7 @@
 // Test code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_faults::IngestCrash;
+use epc_journal::{Crash, BATCH_CRASH};
 use epc_model::value::Value;
 use epc_model::wellknown as wk;
 use epc_model::{Dataset, Record};
@@ -204,7 +204,7 @@ fn killed_ingest_resumes_byte_identical_at_every_crash_point() {
     .expect("uninterrupted ingest");
 
     for spec in ["1:before", "1:after", "1:torn"] {
-        let crash = IngestCrash::parse(spec).unwrap();
+        let crash = Crash::parse(spec, &BATCH_CRASH).unwrap();
         let dir = run_dir("crashed");
         let died = ingest(
             &batches,
