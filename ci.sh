@@ -117,6 +117,33 @@ if want chaos; then
       exit 1
     fi
   done
+
+  echo "== chaos: NaN cells through clean and describe =="
+  # Non-finite input values are quarantined wherever stage 1 runs: `clean`
+  # must divert the planted NaN records exactly as `run` does, and
+  # `describe` must count them as missing — neither may panic.
+  awk -F, -v OFS=, '
+    NR == 1 { for (i = 1; i <= NF; i++) if ($i == "u_windows") col = i }
+    NR == 11 || NR == 101 || NR == 301 { $col = "NaN" }
+    { print }' "$CHAOS_DIR/data/epcs.csv" > "$CHAOS_DIR/nan.csv"
+  if [ "$(grep -cE '(^|,)NaN(,|$)' "$CHAOS_DIR/nan.csv")" -ne 3 ]; then
+    echo "FAIL: expected 3 planted NaN rows in nan.csv" >&2
+    exit 1
+  fi
+  if ! "$INDICE" clean --data "$CHAOS_DIR/nan.csv" \
+       --streets "$CHAOS_DIR/data/street_map.txt" \
+       --out "$CHAOS_DIR/nan_cleaned.csv" >/dev/null; then
+    echo "FAIL: clean on a CSV with NaN cells did not exit 0" >&2
+    exit 1
+  fi
+  if grep -qE '(^|,)NaN(,|$)' "$CHAOS_DIR/nan_cleaned.csv"; then
+    echo "FAIL: cleaned CSV still carries a NaN field" >&2
+    exit 1
+  fi
+  if ! "$INDICE" describe --data "$CHAOS_DIR/nan.csv" >/dev/null; then
+    echo "FAIL: describe on a CSV with NaN cells did not exit 0" >&2
+    exit 1
+  fi
 fi
 
 if want crash; then

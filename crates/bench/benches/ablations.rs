@@ -8,7 +8,7 @@
 //!    future-work comparison of §4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use epc_geo::cleaning::{clean_addresses, AddressQuery, CleaningConfig};
+use epc_geo::cleaning::{clean_addresses_degradable, AddressQuery, CleaningConfig};
 use epc_geo::geocode::{QuotaGeocoder, SimulatedGeocoder};
 use epc_geo::levenshtein::{levenshtein, levenshtein_bounded};
 use epc_mining::kmeans::{KMeans, KMeansConfig, KMeansInit};
@@ -58,8 +58,9 @@ fn bench_ablations(c: &mut Criterion) {
                 seed,
                 ..KMeansConfig::default()
             })
-            .fit(&scaled)
-            .unwrap();
+            .fit_traced(&scaled, &epc_runtime::RuntimeConfig::sequential())
+            .unwrap()
+            .0;
             sses.push(m.sse);
             iters += m.n_iter;
         }
@@ -102,12 +103,26 @@ fn bench_ablations(c: &mut Criterion) {
         phi: 0.92,
         ..CleaningConfig::default()
     };
-    let (_, without) = clean_addresses(&queries, &noisy.city.street_map, None, &strict);
+    let (_, without) = clean_addresses_degradable(
+        &queries,
+        &noisy.city.street_map,
+        None,
+        &strict,
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
+    );
     let geocoder = QuotaGeocoder::new(
         SimulatedGeocoder::new(noisy.city.street_map.clone(), 0.55, 0.02),
         100_000,
     );
-    let (_, with) = clean_addresses(&queries, &noisy.city.street_map, Some(&geocoder), &strict);
+    let (_, with) = clean_addresses_degradable(
+        &queries,
+        &noisy.city.street_map,
+        Some(&geocoder),
+        &strict,
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
+    );
     eprintln!("\n== Ablation 2: geocoder fallback (phi = 0.92, 10 000 noisy addresses) ==");
     eprintln!(
         "without geocoder: {} resolved, {} unresolved",
@@ -170,8 +185,9 @@ fn bench_ablations(c: &mut Criterion) {
             k: 4,
             ..KMeansConfig::default()
         })
-        .fit(&sub)
-        .unwrap();
+        .fit_traced(&sub, &epc_runtime::RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         let km_sil = silhouette_score(&sub, &km.assignments).unwrap();
         eprintln!("{:<22} silhouette {:.3}", "k-means++", km_sil);
         for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {

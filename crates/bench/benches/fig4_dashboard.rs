@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use epc_query::Stakeholder;
 use epc_synth::{EpcGenerator, NoiseConfig, SynthConfig};
-use indice::analytics::analyze;
+use indice::analytics::analyze_observed_from;
 use indice::config::IndiceConfig;
 use indice::dashboard::build_dashboard;
 
@@ -21,7 +21,14 @@ fn bench_fig4(c: &mut Criterion) {
     .generate();
     epc_synth::noise::apply_noise(&mut collection, &NoiseConfig::none());
     let config = IndiceConfig::default();
-    let analytics = analyze(&collection.dataset, &config).expect("analytics runs");
+    let analytics = analyze_observed_from(
+        &collection.dataset,
+        &config,
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
+        None,
+    )
+    .expect("analytics runs");
 
     eprintln!("\n== Figure 4: dashboard content (PA, district level) ==");
     eprintln!(

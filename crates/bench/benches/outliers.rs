@@ -4,7 +4,7 @@
 //! runtime scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use epc_mining::dbscan::dbscan;
+use epc_mining::dbscan::dbscan_with_runtime;
 use epc_mining::kdistance::estimate_dbscan_params;
 use epc_mining::matrix::Matrix;
 use epc_mining::normalize::MinMaxScaler;
@@ -100,7 +100,7 @@ fn bench_outliers(c: &mut Criterion) {
         .collect();
     let params = estimate_dbscan_params(&Matrix::from_rows(&sample_rows), &[4, 5, 6, 8], 0.15)
         .expect("params estimated");
-    let result = dbscan(&scaled, &params);
+    let result = dbscan_with_runtime(&scaled, &params, &epc_runtime::RuntimeConfig::sequential());
     let flagged: BTreeSet<usize> = result
         .noise_indices()
         .into_iter()
@@ -138,7 +138,9 @@ fn bench_outliers(c: &mut Criterion) {
         .map(|i| scaled.row(i).to_vec())
         .collect();
     let sub = Matrix::from_rows(&sub_rows);
-    group.bench_function("dbscan_5k_points_5d", |b| b.iter(|| dbscan(&sub, &params)));
+    group.bench_function("dbscan_5k_points_5d", |b| {
+        b.iter(|| dbscan_with_runtime(&sub, &params, &epc_runtime::RuntimeConfig::sequential()))
+    });
     group.finish();
 }
 

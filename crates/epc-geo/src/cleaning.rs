@@ -188,22 +188,6 @@ impl DegradedFallback {
 /// resolve (pass a [`crate::geocode::QuotaGeocoder`] to model the free-tier
 /// limit; pass `None` to disable the fallback entirely — the ablation of
 /// the benchmark suite).
-pub fn clean_addresses(
-    queries: &[AddressQuery],
-    reference: &StreetMap,
-    geocoder: Option<&dyn Geocoder>,
-    config: &CleaningConfig,
-) -> (Vec<CleanedAddress>, CleaningReport) {
-    clean_addresses_with_runtime(
-        queries,
-        reference,
-        geocoder,
-        config,
-        &epc_runtime::RuntimeConfig::sequential(),
-    )
-}
-
-/// [`clean_addresses`] with an explicit execution runtime.
 ///
 /// The per-record Levenshtein matching against the reference map (steps
 /// 1–2) is pure and runs data-parallel under `runtime`; the geocoder
@@ -211,25 +195,13 @@ pub fn clean_addresses(
 /// consumed in input order — so it runs as a sequential second pass over
 /// the addresses the reference could not resolve. The combined result is
 /// bitwise identical to the sequential algorithm for any thread budget.
-pub fn clean_addresses_with_runtime(
-    queries: &[AddressQuery],
-    reference: &StreetMap,
-    geocoder: Option<&dyn Geocoder>,
-    config: &CleaningConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-) -> (Vec<CleanedAddress>, CleaningReport) {
-    clean_addresses_degradable(queries, reference, geocoder, config, runtime, None)
-}
-
-/// [`clean_addresses_with_runtime`] plus a district-centroid fallback for
-/// transient geocoder failures.
 ///
-/// With `fallback = None` (or a geocoder that never fails transiently) this
-/// is bitwise identical to [`clean_addresses_with_runtime`]: permanent
-/// misses still come back [`CleaningOutcome::Unresolved`]. Transient
-/// failures ([`GeocodeFailure::Transient`], surfaced after the geocoder's
-/// own retry budget is spent) degrade to the district centroid when the
-/// fallback knows one, and are left unresolved otherwise.
+/// `fallback` handles transient geocoder failures: with `None` (or a
+/// geocoder that never fails transiently) permanent and transient misses
+/// alike come back [`CleaningOutcome::Unresolved`]. Transient failures
+/// ([`GeocodeFailure::Transient`], surfaced after the geocoder's own retry
+/// budget is spent) degrade to the district centroid when the fallback
+/// knows one, and are left unresolved otherwise.
 pub fn clean_addresses_degradable(
     queries: &[AddressQuery],
     reference: &StreetMap,
@@ -463,7 +435,14 @@ mod tests {
             address: Address::new("Via Roma", Some("10"), Some("10121")),
             point: Some(GeoPoint::new(45.0700, 7.6800)),
         };
-        let (res, report) = clean_addresses(&[q], &reference(), None, &cfg());
+        let (res, report) = clean_addresses_degradable(
+            &[q],
+            &reference(),
+            None,
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         let c = &res[0];
         assert!(matches!(
             c.outcome,
@@ -486,7 +465,14 @@ mod tests {
             address: Address::new("via rma", Some("10"), None),
             point: None,
         };
-        let (res, report) = clean_addresses(&[q], &reference(), None, &cfg());
+        let (res, report) = clean_addresses_degradable(
+            &[q],
+            &reference(),
+            None,
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         let c = &res[0];
         assert_eq!(c.address.street, "Via Roma");
         assert_eq!(c.address.zip.as_deref(), Some("10121"));
@@ -506,7 +492,14 @@ mod tests {
             // ~11 km off: clearly wrong.
             point: Some(GeoPoint::new(45.17, 7.68)),
         };
-        let (res, _) = clean_addresses(&[q], &reference(), None, &cfg());
+        let (res, _) = clean_addresses_degradable(
+            &[q],
+            &reference(),
+            None,
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         let c = &res[0];
         assert!(c.corrected.coords);
         assert_eq!(c.point.unwrap(), GeoPoint::new(45.0702, 7.6803));
@@ -520,7 +513,14 @@ mod tests {
             address: Address::new("Via Roma", Some("10"), Some("10121")),
             point: Some(original),
         };
-        let (res, _) = clean_addresses(&[q], &reference(), None, &cfg());
+        let (res, _) = clean_addresses_degradable(
+            &[q],
+            &reference(),
+            None,
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         assert!(!res[0].corrected.coords);
         assert_eq!(res[0].point.unwrap(), original);
     }
@@ -536,7 +536,14 @@ mod tests {
             address: Address::new("via garibaldi", Some("7"), None),
             point: None,
         };
-        let (res, report) = clean_addresses(&[q], &reference(), Some(&geocoder), &cfg());
+        let (res, report) = clean_addresses_degradable(
+            &[q],
+            &reference(),
+            Some(&geocoder),
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         assert!(matches!(
             res[0].outcome,
             CleaningOutcome::ResolvedByGeocoder
@@ -553,7 +560,14 @@ mod tests {
             address: Address::new("xyzxyzxyz", None, Some("99999")),
             point: None,
         };
-        let (res, report) = clean_addresses(std::slice::from_ref(&q), &reference(), None, &cfg());
+        let (res, report) = clean_addresses_degradable(
+            std::slice::from_ref(&q),
+            &reference(),
+            None,
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         assert!(matches!(res[0].outcome, CleaningOutcome::Unresolved));
         assert_eq!(res[0].address, q.address);
         assert_eq!(res[0].point, None);
@@ -575,7 +589,14 @@ mod tests {
                 point: None,
             })
             .collect();
-        let (res, report) = clean_addresses(&queries, &reference(), Some(&geocoder), &cfg());
+        let (res, report) = clean_addresses_degradable(
+            &queries,
+            &reference(),
+            Some(&geocoder),
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         assert_eq!(report.by_geocoder, 1);
         assert_eq!(report.unresolved, 2);
         assert_eq!(report.geocoder_requests, 1, "refused calls don't count");
@@ -594,11 +615,25 @@ mod tests {
             point: None,
         };
         let strict = CleaningConfig { phi: 0.95, ..cfg() };
-        let (res, _) = clean_addresses(std::slice::from_ref(&q), &reference(), None, &strict);
+        let (res, _) = clean_addresses_degradable(
+            std::slice::from_ref(&q),
+            &reference(),
+            None,
+            &strict,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         assert!(matches!(res[0].outcome, CleaningOutcome::Unresolved));
 
         let lenient = CleaningConfig { phi: 0.7, ..cfg() };
-        let (res, _) = clean_addresses(&[q], &reference(), None, &lenient);
+        let (res, _) = clean_addresses_degradable(
+            &[q],
+            &reference(),
+            None,
+            &lenient,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         assert!(matches!(
             res[0].outcome,
             CleaningOutcome::ResolvedByReference { .. }
@@ -612,7 +647,14 @@ mod tests {
             address: Address::new("Via Roma", Some("10"), None),
             point: Some(GeoPoint::new(45.0700, 7.6800)),
         };
-        let (res, _) = clean_addresses(&[q], &reference(), None, &cfg());
+        let (res, _) = clean_addresses_degradable(
+            &[q],
+            &reference(),
+            None,
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         assert_eq!(res[0].address.zip.as_deref(), Some("10121"));
         assert!(res[0].corrected.zip);
         assert!(!res[0].corrected.coords);
@@ -638,15 +680,23 @@ mod tests {
         // Quota smaller than the geocoder-needing queries, so consumption
         // order is observable in the outcomes.
         let seq_geo = QuotaGeocoder::new(SimulatedGeocoder::new(truth.clone(), 0.6, 0.0), 9);
-        let (seq, seq_report) = clean_addresses(&queries, &reference(), Some(&seq_geo), &cfg());
+        let (seq, seq_report) = clean_addresses_degradable(
+            &queries,
+            &reference(),
+            Some(&seq_geo),
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         for threads in [2usize, 8] {
             let par_geo = QuotaGeocoder::new(SimulatedGeocoder::new(truth.clone(), 0.6, 0.0), 9);
-            let (par, par_report) = clean_addresses_with_runtime(
+            let (par, par_report) = clean_addresses_degradable(
                 &queries,
                 &reference(),
                 Some(&par_geo),
                 &cfg(),
                 &epc_runtime::RuntimeConfig::new(threads),
+                None,
             );
             assert_eq!(par, seq, "threads = {threads}");
             assert_eq!(par_report, seq_report, "threads = {threads}");
@@ -667,7 +717,14 @@ mod tests {
                 point: None,
             },
         ];
-        let (_, r) = clean_addresses(&queries, &reference(), None, &cfg());
+        let (_, r) = clean_addresses_degradable(
+            &queries,
+            &reference(),
+            None,
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         assert_eq!(r.total, 2);
         assert_eq!(
             r.by_reference + r.by_geocoder + r.degraded + r.unresolved,
@@ -779,7 +836,14 @@ mod tests {
             address: Address::new("zzzzzz", None, None),
             point: None,
         };
-        let (_, report) = clean_addresses(&[q], &reference(), Some(&retry), &cfg());
+        let (_, report) = clean_addresses_degradable(
+            &[q],
+            &reference(),
+            Some(&retry),
+            &cfg(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         assert_eq!(report.geocoder_retries, 0);
         assert_eq!(report.unresolved, 1);
     }

@@ -33,8 +33,8 @@ pub mod streetmap;
 pub use address::Address;
 pub use bbox::BoundingBox;
 pub use cleaning::{
-    clean_addresses, AddressQuery, CleanedAddress, CleaningConfig, CleaningOutcome, CleaningReport,
-    DegradedFallback,
+    clean_addresses_degradable, AddressQuery, CleanedAddress, CleaningConfig, CleaningOutcome,
+    CleaningReport, DegradedFallback,
 };
 pub use geocode::{
     Backoff, GeocodeFailure, GeocodeResult, Geocoder, QuotaGeocoder, RetryGeocoder,

@@ -69,17 +69,12 @@ impl DbscanResult {
     }
 }
 
-/// Runs DBSCAN over the rows of `data`.
+/// Runs DBSCAN over the rows of `data` under an execution runtime.
 ///
 /// Classic region-query formulation: a point is *core* when at least
 /// `min_points` points (itself included) lie within `eps`; clusters grow by
 /// density reachability from core points; border points join the first
 /// cluster that reaches them; everything else is noise.
-pub fn dbscan(data: &Matrix, config: &DbscanConfig) -> DbscanResult {
-    dbscan_with_runtime(data, config, &epc_runtime::RuntimeConfig::sequential())
-}
-
-/// [`dbscan`] with an explicit execution runtime.
 ///
 /// The ε-neighbourhood region queries — the O(n²) bulk of the algorithm,
 /// and the sequential version issues one per point anyway — are
@@ -161,6 +156,7 @@ fn region_query(data: &Matrix, p: usize, eps: f64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epc_runtime::RuntimeConfig;
 
     /// Two dense blobs plus isolated far-away points.
     fn blobs_with_noise() -> (Matrix, Vec<usize>) {
@@ -185,12 +181,13 @@ mod tests {
     #[test]
     fn finds_two_clusters_and_noise() {
         let (data, noise_idx) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 1.0,
                 min_points: 4,
             },
+            &RuntimeConfig::sequential(),
         );
         assert_eq!(res.n_clusters, 2);
         assert_eq!(res.noise_indices(), noise_idx);
@@ -200,12 +197,13 @@ mod tests {
     #[test]
     fn same_blob_same_cluster() {
         let (data, _) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 1.0,
                 min_points: 4,
             },
+            &RuntimeConfig::sequential(),
         );
         let first = res.labels[0];
         for i in 0..40 {
@@ -217,12 +215,13 @@ mod tests {
     #[test]
     fn tiny_eps_makes_everything_noise() {
         let (data, _) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 1e-9,
                 min_points: 4,
             },
+            &RuntimeConfig::sequential(),
         );
         assert_eq!(res.n_clusters, 0);
         assert_eq!(res.noise_indices().len(), data.n_rows());
@@ -231,12 +230,13 @@ mod tests {
     #[test]
     fn huge_eps_makes_one_cluster() {
         let (data, _) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 1e6,
                 min_points: 4,
             },
+            &RuntimeConfig::sequential(),
         );
         assert_eq!(res.n_clusters, 1);
         assert!(res.noise_indices().is_empty());
@@ -246,12 +246,13 @@ mod tests {
     fn min_points_one_clusters_every_point() {
         // Every point is its own core; no noise possible.
         let (data, _) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 0.5,
                 min_points: 1,
             },
+            &RuntimeConfig::sequential(),
         );
         assert!(res.noise_indices().is_empty());
         assert!(res.n_clusters >= 2);
@@ -264,12 +265,13 @@ mod tests {
         let mut rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 * 0.1, 0.0]).collect();
         rows.push(vec![1.3, 0.0]); // within eps of the last core point only
         let data = Matrix::from_rows(&rows);
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 0.45,
                 min_points: 4,
             },
+            &RuntimeConfig::sequential(),
         );
         assert_eq!(res.n_clusters, 1);
         assert!(
@@ -280,12 +282,13 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &Matrix::zeros(0, 2),
             &DbscanConfig {
                 eps: 1.0,
                 min_points: 3,
             },
+            &RuntimeConfig::sequential(),
         );
         assert_eq!(res.n_clusters, 0);
         assert!(res.labels.is_empty());
@@ -294,12 +297,13 @@ mod tests {
     #[test]
     fn scan_stats_are_recorded() {
         let (data, _) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 1.0,
                 min_points: 4,
             },
+            &RuntimeConfig::sequential(),
         );
         assert_eq!(res.region_queries, data.n_rows());
         // Every point is within eps of itself, and neighbourhood
@@ -316,7 +320,10 @@ mod tests {
             eps: 1.0,
             min_points: 4,
         };
-        assert_eq!(dbscan(&data, &cfg), dbscan(&data, &cfg));
+        assert_eq!(
+            dbscan_with_runtime(&data, &cfg, &RuntimeConfig::sequential()),
+            dbscan_with_runtime(&data, &cfg, &RuntimeConfig::sequential())
+        );
     }
 
     #[test]
@@ -326,9 +333,9 @@ mod tests {
             eps: 1.0,
             min_points: 4,
         };
-        let seq = dbscan(&data, &cfg);
+        let seq = dbscan_with_runtime(&data, &cfg, &RuntimeConfig::sequential());
         for threads in [2usize, 8] {
-            let par = dbscan_with_runtime(&data, &cfg, &epc_runtime::RuntimeConfig::new(threads));
+            let par = dbscan_with_runtime(&data, &cfg, &RuntimeConfig::new(threads));
             assert_eq!(par, seq, "threads = {threads}");
         }
     }

@@ -129,7 +129,7 @@ pub fn estimate_dbscan_params(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbscan::dbscan;
+    use crate::dbscan::dbscan_with_runtime;
 
     fn blobs_with_noise() -> Matrix {
         let mut rows = Vec::new();
@@ -192,7 +192,7 @@ mod tests {
     fn estimated_params_make_dbscan_flag_the_noise() {
         let data = blobs_with_noise();
         let cfg = estimate_dbscan_params(&data, &[3, 4, 5, 6], 0.15).unwrap();
-        let res = dbscan(&data, &cfg);
+        let res = dbscan_with_runtime(&data, &cfg, &epc_runtime::RuntimeConfig::sequential());
         let noise = res.noise_indices();
         assert!(
             noise.contains(&100) && noise.contains(&101),

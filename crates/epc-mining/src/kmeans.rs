@@ -122,29 +122,14 @@ impl KMeans {
         KMeans { config }
     }
 
-    /// Fits the model. Returns `None` when `k == 0`, the matrix is empty,
-    /// or there are fewer points than clusters.
-    pub fn fit(&self, data: &Matrix) -> Option<KMeansModel> {
-        self.fit_with_runtime(data, &epc_runtime::RuntimeConfig::sequential())
-    }
-
-    /// [`KMeans::fit`] with an explicit execution runtime.
+    /// Fits the model and returns it with the per-round
+    /// [`KMeansFitTrace`] for observability. Returns `None` when `k == 0`,
+    /// the matrix is empty, or there are fewer points than clusters.
     ///
     /// The Lloyd *assignment* step (nearest centroid per point — the O(nkd)
-    /// hot loop) runs data-parallel; the centroid update and the SSE
-    /// accumulation stay sequential in row order, so the fitted model is
-    /// bitwise identical for any thread budget.
-    pub fn fit_with_runtime(
-        &self,
-        data: &Matrix,
-        runtime: &epc_runtime::RuntimeConfig,
-    ) -> Option<KMeansModel> {
-        self.fit_traced(data, runtime).map(|(model, _)| model)
-    }
-
-    /// [`KMeans::fit_with_runtime`], additionally returning the per-round
-    /// [`KMeansFitTrace`] for observability. The fitted model is exactly
-    /// what the untraced fit produces.
+    /// hot loop) runs data-parallel under `runtime`; the centroid update
+    /// and the SSE accumulation stay sequential in row order, so the fitted
+    /// model is bitwise identical for any thread budget.
     pub fn fit_traced(
         &self,
         data: &Matrix,
@@ -371,8 +356,9 @@ mod tests {
             k: 3,
             ..KMeansConfig::default()
         })
-        .fit(&blobs())
-        .unwrap();
+        .fit_traced(&blobs(), &epc_runtime::RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         assert!(model.converged);
         let sizes = model.cluster_sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 90);
@@ -395,8 +381,9 @@ mod tests {
             k: 3,
             ..Default::default()
         })
-        .fit(&data)
-        .unwrap();
+        .fit_traced(&data, &epc_runtime::RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         for (i, row) in data.rows().enumerate() {
             let assigned = model.assignments[i];
             let d_assigned = sq_euclidean(row, model.centroids.row(assigned));
@@ -417,8 +404,9 @@ mod tests {
                 seed: 7,
                 ..Default::default()
             })
-            .fit(&data)
-            .unwrap();
+            .fit_traced(&data, &epc_runtime::RuntimeConfig::sequential())
+            .unwrap()
+            .0;
             assert!(
                 m.sse <= prev + 1e-9,
                 "SSE must not increase with k: k={k}, sse={}, prev={prev}",
@@ -435,8 +423,9 @@ mod tests {
             k: 1,
             ..Default::default()
         })
-        .fit(&data)
-        .unwrap();
+        .fit_traced(&data, &epc_runtime::RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         assert!((m.centroids.get(0, 0) - 2.0).abs() < 1e-12);
         // SSE = 4 + 0 + 4
         assert!((m.sse - 8.0).abs() < 1e-12);
@@ -449,8 +438,9 @@ mod tests {
             k: 3,
             ..Default::default()
         })
-        .fit(&data)
-        .unwrap();
+        .fit_traced(&data, &epc_runtime::RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         assert!(m.sse < 1e-18);
     }
 
@@ -462,8 +452,14 @@ mod tests {
             seed: 123,
             ..Default::default()
         };
-        let a = KMeans::new(cfg.clone()).fit(&data).unwrap();
-        let b = KMeans::new(cfg).fit(&data).unwrap();
+        let a = KMeans::new(cfg.clone())
+            .fit_traced(&data, &epc_runtime::RuntimeConfig::sequential())
+            .unwrap()
+            .0;
+        let b = KMeans::new(cfg)
+            .fit_traced(&data, &epc_runtime::RuntimeConfig::sequential())
+            .unwrap()
+            .0;
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.sse, b.sse);
     }
@@ -476,11 +472,15 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let seq = KMeans::new(cfg.clone()).fit(&data).unwrap();
+        let seq = KMeans::new(cfg.clone())
+            .fit_traced(&data, &epc_runtime::RuntimeConfig::sequential())
+            .unwrap()
+            .0;
         for threads in [2usize, 4, 8] {
             let par = KMeans::new(cfg.clone())
-                .fit_with_runtime(&data, &epc_runtime::RuntimeConfig::new(threads))
-                .unwrap();
+                .fit_traced(&data, &epc_runtime::RuntimeConfig::new(threads))
+                .unwrap()
+                .0;
             assert_eq!(par.assignments, seq.assignments, "threads = {threads}");
             assert_eq!(par.sse.to_bits(), seq.sse.to_bits(), "threads = {threads}");
             assert_eq!(par.centroids, seq.centroids, "threads = {threads}");
@@ -496,7 +496,10 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let plain = KMeans::new(cfg.clone()).fit(&data).unwrap();
+        let plain = KMeans::new(cfg.clone())
+            .fit_traced(&data, &epc_runtime::RuntimeConfig::sequential())
+            .unwrap()
+            .0;
         for threads in [1usize, 2, 8] {
             let rt = epc_runtime::RuntimeConfig::new(threads);
             let (model, trace) = KMeans::new(cfg.clone()).fit_traced(&data, &rt).unwrap();
@@ -517,16 +520,22 @@ mod tests {
             k: 0,
             ..Default::default()
         })
-        .fit(&data)
+        .fit_traced(&data, &epc_runtime::RuntimeConfig::sequential())
         .is_none());
         assert!(KMeans::new(KMeansConfig {
             k: 100,
             ..Default::default()
         })
-        .fit(&Matrix::from_rows(&[vec![1.0]]))
+        .fit_traced(
+            &Matrix::from_rows(&[vec![1.0]]),
+            &epc_runtime::RuntimeConfig::sequential()
+        )
         .is_none());
         assert!(KMeans::new(KMeansConfig::default())
-            .fit(&Matrix::zeros(0, 2))
+            .fit_traced(
+                &Matrix::zeros(0, 2),
+                &epc_runtime::RuntimeConfig::sequential()
+            )
             .is_none());
     }
 
@@ -538,8 +547,9 @@ mod tests {
             seed: 5,
             ..Default::default()
         })
-        .fit(&blobs())
-        .unwrap();
+        .fit_traced(&blobs(), &epc_runtime::RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         let mut sizes = m.cluster_sizes();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![30, 30, 30]);
@@ -551,8 +561,9 @@ mod tests {
             k: 3,
             ..Default::default()
         })
-        .fit(&blobs())
-        .unwrap();
+        .fit_traced(&blobs(), &epc_runtime::RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         let c = m.predict(&[10.0, 10.0]);
         assert_eq!(c, m.assignments[30], "near blob 1's points");
     }
@@ -563,8 +574,9 @@ mod tests {
             k: 3,
             ..Default::default()
         })
-        .fit(&blobs())
-        .unwrap();
+        .fit_traced(&blobs(), &epc_runtime::RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         let total: usize = (0..3).map(|c| m.members_of(c).len()).sum();
         assert_eq!(total, 90);
     }
@@ -660,7 +672,8 @@ mod tests {
             k: 3,
             ..Default::default()
         })
-        .fit(&data);
+        .fit_traced(&data, &epc_runtime::RuntimeConfig::sequential())
+        .map(|(m, _)| m);
         // All identical: model exists, SSE 0.
         let m = m.unwrap();
         assert!(m.sse < 1e-18);

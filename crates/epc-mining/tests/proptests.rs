@@ -3,7 +3,7 @@
 //! and scaler round-trips.
 
 use epc_mining::apriori::{is_subset, Apriori, TransactionSet};
-use epc_mining::dbscan::{dbscan, DbscanConfig, DbscanLabel};
+use epc_mining::dbscan::{dbscan_with_runtime, DbscanConfig, DbscanLabel};
 use epc_mining::discretize::Discretizer;
 use epc_mining::kmeans::{KMeans, KMeansConfig};
 use epc_mining::matrix::{sq_euclidean, Matrix};
@@ -23,8 +23,9 @@ proptest! {
         prop_assume!(rows.len() >= k);
         let m = Matrix::from_rows(&rows);
         let model = KMeans::new(KMeansConfig { k, seed, ..Default::default() })
-            .fit(&m)
-            .unwrap();
+            .fit_traced(&m, &epc_runtime::RuntimeConfig::sequential())
+            .unwrap()
+            .0;
         for (i, row) in m.rows().enumerate() {
             let assigned = sq_euclidean(row, model.centroids.row(model.assignments[i]));
             for c in 0..k {
@@ -44,7 +45,10 @@ proptest! {
     fn kmeans_partitions_everything(rows in points(60), k in 1usize..6) {
         prop_assume!(rows.len() >= k);
         let m = Matrix::from_rows(&rows);
-        let model = KMeans::new(KMeansConfig { k, ..Default::default() }).fit(&m).unwrap();
+        let model = KMeans::new(KMeansConfig { k, ..Default::default() })
+            .fit_traced(&m, &epc_runtime::RuntimeConfig::sequential())
+            .unwrap()
+            .0;
         prop_assert_eq!(model.assignments.len(), m.n_rows());
         prop_assert!(model.assignments.iter().all(|&a| a < k));
         prop_assert_eq!(model.cluster_sizes().iter().sum::<usize>(), m.n_rows());
@@ -81,7 +85,11 @@ proptest! {
     #[test]
     fn dbscan_labels_are_dense_and_complete(rows in points(60), eps in 1.0f64..50.0, min_pts in 1usize..6) {
         let m = Matrix::from_rows(&rows);
-        let res = dbscan(&m, &DbscanConfig { eps, min_points: min_pts });
+        let res = dbscan_with_runtime(
+            &m,
+            &DbscanConfig { eps, min_points: min_pts },
+            &epc_runtime::RuntimeConfig::sequential(),
+        );
         prop_assert_eq!(res.labels.len(), m.n_rows());
         for l in &res.labels {
             if let DbscanLabel::Cluster(c) = l {
@@ -137,7 +145,9 @@ proptest! {
             let items: Vec<String> = t.iter().map(|i| format!("item{i}")).collect();
             tset.push_owned(&items);
         }
-        let frequent = Apriori { min_support, max_len: 4 }.mine(&tset);
+        let frequent = Apriori { min_support, max_len: 4 }
+            .mine_traced_with_runtime(&tset, &epc_runtime::RuntimeConfig::sequential())
+            .0;
         let by_items: HashMap<&[u32], usize> =
             frequent.iter().map(|f| (f.items.as_slice(), f.count)).collect();
         let min_count = (min_support * transactions.len() as f64).ceil().max(1.0) as usize;

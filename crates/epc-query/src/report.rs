@@ -42,7 +42,8 @@ impl AttributeSummary {
     }
 }
 
-/// Summarizes every attribute of the dataset, in schema order.
+/// Summarizes every attribute of the dataset, in schema order. Non-finite
+/// numeric values (NaN, ±∞) are counted as missing.
 pub fn describe(dataset: &Dataset) -> Vec<AttributeSummary> {
     dataset
         .schema()
@@ -52,10 +53,14 @@ pub fn describe(dataset: &Dataset) -> Vec<AttributeSummary> {
             let missing = column.missing_count();
             match column.data() {
                 ColumnData::Numeric(_) => {
-                    let values = dataset.numeric_values(id);
+                    // Non-finite values carry no magnitude: they count as
+                    // missing and stay out of the statistics.
+                    let mut values = dataset.numeric_values(id);
+                    let present = values.len();
+                    values.retain(|v| v.is_finite());
                     AttributeSummary::Numeric {
                         name: def.name.clone(),
-                        missing,
+                        missing: missing + (present - values.len()),
                         stats: NumericSummary::from_slice(&values),
                     }
                 }
@@ -214,6 +219,33 @@ mod tests {
         assert!(text.contains("eph"));
         assert!(text.contains("categorical"));
         assert!(text.lines().count() >= 4);
+    }
+
+    #[test]
+    fn non_finite_values_count_as_missing() {
+        let schema = Arc::new(Schema::new(vec![AttributeDef::numeric("x", "", "")]).unwrap());
+        let mut ds = Dataset::new(schema);
+        for x in [
+            Some(1.0),
+            Some(f64::NAN),
+            Some(3.0),
+            Some(f64::INFINITY),
+            None,
+        ] {
+            let mut r = ds.empty_record();
+            r.set(AttrId(0), Value::from(x)).unwrap();
+            ds.push_record(r).unwrap();
+        }
+        match &describe(&ds)[0] {
+            AttributeSummary::Numeric { missing, stats, .. } => {
+                assert_eq!(*missing, 3, "NaN, +inf and the empty cell");
+                let st = stats.as_ref().unwrap();
+                assert_eq!(st.count, 2);
+                assert_eq!(st.mean, 2.0);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(describe_text(&ds).contains("5 rows x 1 attributes"));
     }
 
     #[test]

@@ -157,17 +157,22 @@ fn execute(command: Command) -> Result<ExitCode, String> {
         Command::Bench { records, seed, out } => bench(&records, seed, &out),
         Command::Clean { data, streets, out } => {
             let runtime = epc_runtime::RuntimeConfig::try_from_env()?;
-            let dataset = load_dataset(&data)?;
+            // The stage-1 call `run` makes: unparsable CSV rows and records
+            // with non-finite values are quarantined, not fatal.
+            let (dataset, mut quarantine) = load_dataset_lenient(&data)?;
             let street_text =
                 fs::read_to_string(&streets).map_err(|e| format!("reading {streets}: {e}"))?;
             let street_map = StreetMap::from_text(&street_text)?;
-            let result = indice::preprocess::preprocess_with_runtime(
+            let (result, stage_quarantine) = indice::preprocess::preprocess_observed(
                 dataset,
                 &street_map,
                 &IndiceConfig::default(),
                 &runtime,
+                None,
+                None,
             )
             .map_err(|e| format!("cleaning failed: {e}"))?;
+            quarantine.merge(stage_quarantine);
             write_atomic_path(
                 Path::new(&out),
                 epc_model::csv::to_csv(&result.dataset).as_bytes(),
@@ -183,6 +188,7 @@ removed {} outliers; wrote {} rows to {out}",
                 result.removed_rows.len(),
                 result.dataset.n_rows(),
             );
+            println!("{quarantine}");
             Ok(ExitCode::SUCCESS)
         }
         Command::SuggestConfig { data } => {

@@ -276,6 +276,73 @@ fn resume_after_torn_commit_reports_the_rejected_journal_entry() {
     cleanup(&out_dir);
 }
 
+/// `clean` runs stage 1 exactly as `run` does, so records with non-finite
+/// values are quarantined instead of reaching the outlier statistics; and
+/// `describe` counts such cells as missing.
+#[test]
+fn clean_and_describe_quarantine_nan_cells() {
+    let dir = tmp_dir("nan");
+    let o = run_cli(&[
+        "generate",
+        "--records",
+        "600",
+        "--seed",
+        "5",
+        "--out-dir",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "generate failed: {}", stderr(&o));
+
+    // Plant NaN into the u_windows cell of three data rows.
+    let text = std::fs::read_to_string(dir.join("epcs.csv")).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let col = lines[0].split(',').position(|h| h == "u_windows").unwrap();
+    for row in [10, 100, 300] {
+        let mut fields: Vec<&str> = lines[row].split(',').collect();
+        fields[col] = "NaN";
+        lines[row] = fields.join(",");
+    }
+    let csv = dir.join("nan.csv");
+    std::fs::write(&csv, lines.join("\n") + "\n").unwrap();
+
+    let cleaned = dir.join("cleaned.csv");
+    let o = run_cli(&[
+        "clean",
+        "--data",
+        csv.to_str().unwrap(),
+        "--streets",
+        dir.join("street_map.txt").to_str().unwrap(),
+        "--out",
+        cleaned.to_str().unwrap(),
+    ]);
+    assert_eq!(o.status.code(), Some(0), "clean failed: {}", stderr(&o));
+    assert!(
+        stdout(&o).contains("quarantine: 3 records (non_finite: 3)"),
+        "{}",
+        stdout(&o)
+    );
+    let out = std::fs::read_to_string(&cleaned).unwrap();
+    assert!(
+        out.lines().count() > 1,
+        "cleaned CSV keeps the good records"
+    );
+    assert!(
+        out.lines().all(|l| l.split(',').all(|f| f != "NaN")),
+        "cleaned CSV must carry no NaN field"
+    );
+
+    let o = run_cli(&["describe", "--data", csv.to_str().unwrap()]);
+    assert_eq!(o.status.code(), Some(0), "describe failed: {}", stderr(&o));
+    let text = stdout(&o);
+    assert!(text.contains("600 rows x 132 attributes"));
+    let u_windows = text
+        .lines()
+        .find(|l| l.starts_with("u_windows "))
+        .expect("u_windows row");
+    assert!(!u_windows.contains("NaN"), "{u_windows}");
+    cleanup(&dir);
+}
+
 #[test]
 fn corrupt_street_map_is_rejected() {
     let dir = tmp_dir("corrupt");

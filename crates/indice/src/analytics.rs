@@ -11,7 +11,7 @@ use epc_mining::elbow::{elbow_k_by_distance, sse_curve_with_runtime};
 use epc_mining::kmeans::{KMeans, KMeansConfig, KMeansModel};
 use epc_mining::matrix::Matrix;
 use epc_mining::normalize::MinMaxScaler;
-use epc_mining::rules::{mine_rules, mine_rules_traced_with_runtime, AssociationRule};
+use epc_mining::rules::{mine_rules_traced_with_runtime, AssociationRule};
 use epc_model::Dataset;
 use epc_obs::Obs;
 use epc_stats::correlation::{correlation_matrix, CorrelationMatrix};
@@ -68,22 +68,10 @@ impl AnalyticsOutput {
     }
 }
 
-/// Runs the analytics stage over a (cleaned) dataset, sequentially and
-/// unobserved — [`analyze_observed_from`] with the defaults.
-pub fn analyze(dataset: &Dataset, config: &IndiceConfig) -> Result<AnalyticsOutput, IndiceError> {
-    analyze_observed_from(
-        dataset,
-        config,
-        &epc_runtime::RuntimeConfig::sequential(),
-        None,
-        None,
-    )
-}
-
-/// Runs the analytics stage under an explicit execution runtime: the
-/// K-means assignment loops (elbow sweep and final fit) and the Apriori
-/// support counting run data-parallel under `runtime`, with outputs
-/// bitwise identical to the sequential run.
+/// Runs the analytics stage over a (cleaned) dataset under an explicit
+/// execution runtime: the K-means assignment loops (elbow sweep and final
+/// fit) and the Apriori support counting run data-parallel under
+/// `runtime`, with outputs bitwise identical to the sequential run.
 ///
 /// With an observability bundle, per-round K-means inertia, the elbow SSE
 /// curve, and per-level Apriori candidate/pruned/frequent counts are
@@ -315,27 +303,10 @@ pub fn analyze_observed_from(
 /// are comparable across regions. Returns `region name → rules`, skipping
 /// regions with fewer than `min_region_size` certificates (tiny regions
 /// yield statistically meaningless supports).
-pub fn rules_by_region(
-    dataset: &Dataset,
-    analytics: &AnalyticsOutput,
-    config: &IndiceConfig,
-    level: epc_model::Granularity,
-    min_region_size: usize,
-) -> Result<std::collections::BTreeMap<String, Vec<AssociationRule>>, IndiceError> {
-    rules_by_region_with_runtime(
-        dataset,
-        analytics,
-        config,
-        level,
-        min_region_size,
-        &epc_runtime::RuntimeConfig::sequential(),
-    )
-}
-
-/// [`rules_by_region`] with an explicit execution runtime: each region is
-/// one coarse parallel task (regions mine independently; the output map is
-/// reassembled in region-name order, so results never depend on the thread
-/// budget).
+///
+/// Each region is one coarse parallel task under `runtime` (regions mine
+/// independently; the output map is reassembled in region-name order, so
+/// results never depend on the thread budget).
 pub fn rules_by_region_with_runtime(
     dataset: &Dataset,
     analytics: &AnalyticsOutput,
@@ -395,7 +366,13 @@ pub fn rules_by_region_with_runtime(
                 }
                 transactions.push_owned(&items);
             }
-            mine_rules(&transactions, &config.rule_stage.rules)
+            // Regions are the parallel unit; each one mines sequentially.
+            mine_rules_traced_with_runtime(
+                &transactions,
+                &config.rule_stage.rules,
+                &epc_runtime::RuntimeConfig::sequential(),
+            )
+            .0
         });
 
     Ok(tasks
@@ -500,7 +477,14 @@ mod tests {
     #[test]
     fn full_analytics_run_produces_everything() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(out.feature_names.len(), 5);
         assert_eq!(out.correlation.len(), 5);
         assert!(out.chosen_k >= 2 && out.chosen_k <= 10);
@@ -520,7 +504,14 @@ mod tests {
         // The paper's Figure 3 message: the five features show no evident
         // linear correlation, so they are eligible for clustering.
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
         assert!(out.eligible, "correlations: {:?}", out.correlation.values);
         let (_, _, max_rho) = out.correlation.max_abs_off_diagonal().unwrap();
         assert!(max_rho.abs() < 0.8, "max |rho| = {max_rho}");
@@ -529,7 +520,14 @@ mod tests {
     #[test]
     fn cluster_summaries_are_in_original_units() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
         // Centroids must live in the attribute ranges (Uw is feature 2).
         for s in &out.cluster_summaries {
             let uw = s.centroid[2];
@@ -547,7 +545,14 @@ mod tests {
     fn clusters_separate_energy_performance() {
         // The whole point of the case study: clusters differ in EPH.
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
         let mut means: Vec<f64> = out
             .cluster_summaries
             .iter()
@@ -563,7 +568,14 @@ mod tests {
     #[test]
     fn rules_connect_thermal_quality_to_consumption() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
         // Expect at least one rule linking a footnote-4 item to an EPH bin.
         let found = out.rules.iter().any(|r| {
             let mentions_feature = r.antecedent.iter().any(|i| {
@@ -585,7 +597,14 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        let out = analyze(&ds, &cfg).unwrap();
+        let out = analyze_observed_from(
+            &ds,
+            &cfg,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(out.chosen_k, 4);
         assert!(out.sse_curve.is_empty());
     }
@@ -593,7 +612,14 @@ mod tests {
     #[test]
     fn cluster_of_row_round_trips() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
         let row = out.feature_rows[10];
         let c = out.cluster_of_row(row).unwrap();
         assert_eq!(c, out.kmeans.assignments[10]);
@@ -603,7 +629,14 @@ mod tests {
     #[test]
     fn response_discretizer_has_requested_bins() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(out.response_discretizer.n_bins(), 3);
         assert_eq!(out.response_discretizer.attribute, wk::EPH);
     }
@@ -618,7 +651,16 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        assert!(matches!(analyze(&ds, &cfg), Err(IndiceError::Config(_))));
+        assert!(matches!(
+            analyze_observed_from(
+                &ds,
+                &cfg,
+                &epc_runtime::RuntimeConfig::sequential(),
+                None,
+                None
+            ),
+            Err(IndiceError::Config(_))
+        ));
 
         let cfg = IndiceConfig {
             analytics: crate::config::AnalyticsConfig {
@@ -627,7 +669,16 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        assert!(matches!(analyze(&ds, &cfg), Err(IndiceError::Config(_))));
+        assert!(matches!(
+            analyze_observed_from(
+                &ds,
+                &cfg,
+                &epc_runtime::RuntimeConfig::sequential(),
+                None,
+                None
+            ),
+            Err(IndiceError::Config(_))
+        ));
 
         let cfg = IndiceConfig {
             analytics: crate::config::AnalyticsConfig {
@@ -636,19 +687,36 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        assert!(matches!(analyze(&ds, &cfg), Err(IndiceError::Model(_))));
+        assert!(matches!(
+            analyze_observed_from(
+                &ds,
+                &cfg,
+                &epc_runtime::RuntimeConfig::sequential(),
+                None,
+                None
+            ),
+            Err(IndiceError::Model(_))
+        ));
     }
 
     #[test]
     fn rules_differ_across_regions_but_share_vocabulary() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
-        let by_district = rules_by_region(
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
+        let by_district = rules_by_region_with_runtime(
             &ds,
             &out,
             &IndiceConfig::default(),
             epc_model::Granularity::District,
             50,
+            &epc_runtime::RuntimeConfig::sequential(),
         )
         .unwrap();
         assert!(by_district.len() >= 2, "several districts expected");
@@ -676,13 +744,21 @@ mod tests {
     #[test]
     fn rules_by_region_rejects_housing_unit_level() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
-        let err = rules_by_region(
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
+        let err = rules_by_region_with_runtime(
             &ds,
             &out,
             &IndiceConfig::default(),
             epc_model::Granularity::HousingUnit,
             10,
+            &epc_runtime::RuntimeConfig::sequential(),
         )
         .unwrap_err();
         assert!(matches!(err, IndiceError::Config(_)));
@@ -691,13 +767,21 @@ mod tests {
     #[test]
     fn tiny_regions_are_skipped() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
-        let by_district = rules_by_region(
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
+        let by_district = rules_by_region_with_runtime(
             &ds,
             &out,
             &IndiceConfig::default(),
             epc_model::Granularity::District,
             usize::MAX,
+            &epc_runtime::RuntimeConfig::sequential(),
         )
         .unwrap();
         assert!(by_district.is_empty());
@@ -745,7 +829,14 @@ mod tests {
     #[test]
     fn footnote4_attributes_use_paper_bins() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed_from(
+            &ds,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
         let uw = out
             .discretizers
             .iter()

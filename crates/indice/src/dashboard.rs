@@ -297,33 +297,6 @@ fn build_dashboard_spec_core(
     })
 }
 
-/// Builds the *drill-down series*: one dashboard per spatial granularity,
-/// cross-linked so "the user can switch from one view to another, simply by
-/// changing the analysis zoom" (§2.3) — the static equivalent of the
-/// paper's interactive zoom navigation.
-///
-/// Returns `(file name, html)` pairs; file names follow
-/// `dashboard_<granularity>.html` and each page links to the other levels.
-pub fn drilldown_series(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    analytics: &AnalyticsOutput,
-    stakeholder: Stakeholder,
-    top_k_rules: usize,
-) -> Result<BTreeMap<String, String>, IndiceError> {
-    Ok(drilldown_series_detailed_with_runtime(
-        dataset,
-        hierarchy,
-        analytics,
-        stakeholder,
-        top_k_rules,
-        &epc_runtime::RuntimeConfig::sequential(),
-    )?
-    .into_iter()
-    .map(|page| (page.file, page.html))
-    .collect())
-}
-
 /// One rendered page of the drill-down series, with its marker count.
 #[derive(Debug, Clone)]
 pub struct ZoomPage {
@@ -337,9 +310,15 @@ pub struct ZoomPage {
     pub markers: usize,
 }
 
-/// [`drilldown_series`] with an explicit execution runtime, additionally
-/// reporting the per-zoom marker counts for observability. Each zoom level
-/// renders as one coarse parallel task (the four dashboards share no
+/// Builds the *drill-down series*: one dashboard per spatial granularity,
+/// cross-linked so "the user can switch from one view to another, simply by
+/// changing the analysis zoom" (§2.3) — the static equivalent of the
+/// paper's interactive zoom navigation.
+///
+/// Returns one [`ZoomPage`] per level, with its per-zoom marker count for
+/// observability; file names follow `dashboard_<granularity>.html` and
+/// each page links to the other levels. Each zoom level renders as one
+/// coarse parallel task under `runtime` (the four dashboards share no
 /// state), and pages come back in the fixed [`Granularity::ALL`] order, so
 /// the output never depends on the thread budget.
 pub fn drilldown_series_detailed_with_runtime(
@@ -531,7 +510,7 @@ fn cluster_summary_text(analytics: &AnalyticsOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analytics::analyze;
+    use crate::analytics::analyze_observed_from;
     use crate::config::IndiceConfig;
     use epc_synth::city::CityConfig;
     use epc_synth::epcgen::{EpcGenerator, SynthConfig};
@@ -549,7 +528,14 @@ mod tests {
             ..SynthConfig::default()
         })
         .generate();
-        let analytics = analyze(&c.dataset, &IndiceConfig::default()).unwrap();
+        let analytics = analyze_observed_from(
+            &c.dataset,
+            &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap();
         (c.dataset, c.city.hierarchy, analytics)
     }
 
@@ -635,11 +621,20 @@ mod tests {
     #[test]
     fn drilldown_series_links_every_level() {
         let (ds, hier, analytics) = setup();
-        let pages =
-            drilldown_series(&ds, &hier, &analytics, Stakeholder::PublicAdministration, 8).unwrap();
+        let pages = drilldown_series_detailed_with_runtime(
+            &ds,
+            &hier,
+            &analytics,
+            Stakeholder::PublicAdministration,
+            8,
+            &epc_runtime::RuntimeConfig::sequential(),
+        )
+        .unwrap();
         assert_eq!(pages.len(), 4);
-        for level in Granularity::ALL {
-            let page = &pages[&format!("dashboard_{level}.html")];
+        for (zoom, level) in pages.iter().zip(Granularity::ALL) {
+            assert_eq!(zoom.level, level);
+            assert_eq!(zoom.file, format!("dashboard_{level}.html"));
+            let page = &zoom.html;
             // Each page links to the other three levels.
             for other in Granularity::ALL {
                 if other != level {

@@ -3,9 +3,10 @@
 //! values labelled as outliers are not considered in the subsequent steps
 //! of analysis."
 //!
-//! The fault-tolerant entry point is [`preprocess_observed`]: malformed or
-//! corrupted records are diverted into an [`epc_model::Quarantine`] instead
-//! of panicking or poisoning downstream statistics, and (with an injector)
+//! The one entry point is [`preprocess_observed`], the composition of
+//! [`clean_phase`] and [`outlier_phase`]: malformed or corrupted records
+//! are always diverted into an [`epc_model::Quarantine`] instead of
+//! panicking or poisoning downstream statistics, and (with an injector)
 //! transient geocoder failures are retried and finally degraded to
 //! district-centroid coordinates.
 
@@ -58,47 +59,10 @@ pub struct PreprocessOutput {
 const PARAM_ESTIMATION_SAMPLE: usize = 1_500;
 
 /// Runs stage 1 over `dataset` (consumed), using `street_map` both as the
-/// referenced map and as the simulated geocoder's ground truth.
-pub fn preprocess(
-    dataset: Dataset,
-    street_map: &StreetMap,
-    config: &IndiceConfig,
-) -> Result<PreprocessOutput, IndiceError> {
-    preprocess_with_runtime(
-        dataset,
-        street_map,
-        config,
-        &epc_runtime::RuntimeConfig::sequential(),
-    )
-}
-
-/// [`preprocess`] with an explicit execution runtime: the per-record
-/// Levenshtein matching of the cleaning pass and DBSCAN's region queries
-/// run data-parallel under `runtime`, with outputs bitwise identical to
-/// the sequential run.
-pub fn preprocess_with_runtime(
-    dataset: Dataset,
-    street_map: &StreetMap,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-) -> Result<PreprocessOutput, IndiceError> {
-    // The plain path deliberately skips the validation quarantine — it
-    // predates fault tolerance and callers rely on row indices matching
-    // the raw input.
-    let clean = clean_phase_inner(
-        dataset,
-        street_map,
-        config,
-        runtime,
-        None,
-        None,
-        config.geocoder_quota,
-        false,
-    )?;
-    outlier_phase(clean, config, runtime, None).map(|(out, _)| out)
-}
-
-/// The fault-tolerant stage-1 entry point.
+/// referenced map and as the simulated geocoder's ground truth. The
+/// per-record Levenshtein matching of the cleaning pass and DBSCAN's
+/// region queries run data-parallel under `runtime`, with outputs bitwise
+/// identical to the sequential run.
 ///
 /// Before the standard pipeline runs, records with non-finite values in
 /// numeric attributes (whether present in the input or planted by the
@@ -113,9 +77,6 @@ pub fn preprocess_with_runtime(
 /// statistics are recorded as trace points and counters. All emission
 /// happens orchestrator-side, after the data-parallel kernels return, so
 /// the logical event stream is identical for any thread budget.
-///
-/// With `injector = None` and a clean input, the output is bitwise
-/// identical to [`preprocess_with_runtime`].
 pub fn preprocess_observed(
     dataset: Dataset,
     street_map: &StreetMap,
@@ -176,21 +137,6 @@ pub struct CleanPhase {
 /// `config.geocoder_quota` for a one-shot run, the remaining balance for
 /// an ingest batch.
 pub fn clean_phase(
-    dataset: Dataset,
-    street_map: &StreetMap,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-    injector: Option<&dyn FaultInjector>,
-    obs: Option<&Obs<'_>>,
-    quota: usize,
-) -> Result<CleanPhase, IndiceError> {
-    clean_phase_inner(
-        dataset, street_map, config, runtime, injector, obs, quota, true,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn clean_phase_inner(
     mut dataset: Dataset,
     street_map: &StreetMap,
     config: &IndiceConfig,
@@ -198,7 +144,6 @@ fn clean_phase_inner(
     injector: Option<&dyn FaultInjector>,
     obs: Option<&Obs<'_>>,
     quota: usize,
-    validate: bool,
 ) -> Result<CleanPhase, IndiceError> {
     if dataset.is_empty() {
         return Err(IndiceError::EmptyCollection("preprocess"));
@@ -206,42 +151,36 @@ fn clean_phase_inner(
     let input_rows = dataset.n_rows();
     let mut quarantine = Quarantine::new();
 
-    let (mut dataset, orig_of) = if validate {
-        // Record-boundary fault hook: corrupt before validation so every
-        // injected fault flows through the same quarantine path real bad
-        // input would.
-        if let Some(inj) = injector {
-            corrupt_dataset(&mut dataset, inj)?;
-        }
+    // Record-boundary fault hook: corrupt before validation so every
+    // injected fault flows through the same quarantine path real bad input
+    // would.
+    if let Some(inj) = injector {
+        corrupt_dataset(&mut dataset, inj)?;
+    }
 
-        // Validation scan: non-finite values are always faults (they would
-        // poison means, distances, and histograms downstream).
-        let faults = scan_faults(&dataset, &ValidationPolicy::minimal());
-        let bad_rows: BTreeSet<usize> = faults.iter().map(|(row, _)| *row).collect();
-        for (row, fault) in faults {
-            quarantine.push(record_key(&dataset, row), Some(row), fault);
-        }
+    // Validation scan: non-finite values are always faults (they would
+    // poison means, distances, and histograms downstream).
+    let faults = scan_faults(&dataset, &ValidationPolicy::minimal());
+    let bad_rows: BTreeSet<usize> = faults.iter().map(|(row, _)| *row).collect();
+    for (row, fault) in faults {
+        quarantine.push(record_key(&dataset, row), Some(row), fault);
+    }
 
-        // Divert quarantined rows out of the pipeline; remember the
-        // original index of every surviving row so reports stay in input
-        // coordinates.
-        if bad_rows.is_empty() {
-            let n = dataset.n_rows();
-            (dataset, (0..n).collect::<Vec<usize>>())
-        } else {
-            let mask: Vec<bool> = (0..dataset.n_rows())
-                .map(|r| !bad_rows.contains(&r))
-                .collect();
-            let orig_of: Vec<usize> = mask
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &keep)| keep.then_some(i))
-                .collect();
-            (dataset.filter_mask(&mask)?, orig_of)
-        }
-    } else {
+    // Divert quarantined rows out of the pipeline; remember the original
+    // index of every surviving row so reports stay in input coordinates.
+    let (mut dataset, orig_of) = if bad_rows.is_empty() {
         let n = dataset.n_rows();
         (dataset, (0..n).collect::<Vec<usize>>())
+    } else {
+        let mask: Vec<bool> = (0..dataset.n_rows())
+            .map(|r| !bad_rows.contains(&r))
+            .collect();
+        let orig_of: Vec<usize> = mask
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &keep)| keep.then_some(i))
+            .collect();
+        (dataset.filter_mask(&mask)?, orig_of)
     };
     if dataset.is_empty() {
         return Err(IndiceError::EmptyCollection("record validation"));
@@ -738,12 +677,16 @@ mod tests {
     #[test]
     fn clean_collection_loses_almost_nothing() {
         let c = collection(false);
-        let out = preprocess(
+        let out = preprocess_observed(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.cleaning.unresolved, 0, "all addresses are canonical");
         // Only statistical false positives may be removed (MAD tails and
         // DBSCAN low-density points) — keep them under ~12%.
@@ -759,12 +702,16 @@ mod tests {
     fn noisy_addresses_are_repaired() {
         let c = collection(true);
         let before_truth = c.truth.clone();
-        let out = preprocess(
+        let out = preprocess_observed(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Most corrupted addresses must be resolved (reference or geocoder).
         let resolved = out.cleaning.by_reference + out.cleaning.by_geocoder;
         assert!(
@@ -801,12 +748,16 @@ mod tests {
         );
         let injected: BTreeSet<usize> = c.truth.injected_outliers.iter().copied().collect();
         assert!(!injected.is_empty());
-        let out = preprocess(
+        let out = preprocess_observed(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let removed: BTreeSet<usize> = out.removed_rows.iter().copied().collect();
         let caught = injected.intersection(&removed).count();
         // Injected univariate outliers target Uw/Uo/EPH; the default
@@ -832,7 +783,16 @@ mod tests {
             geocoder_quota: 0,
             ..IndiceConfig::default()
         };
-        let out = preprocess(c.dataset.clone(), &c.city.street_map, &cfg).unwrap();
+        let out = preprocess_observed(
+            c.dataset.clone(),
+            &c.city.street_map,
+            &cfg,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap()
+        .0;
         assert_eq!(out.cleaning.by_geocoder, 0);
         assert_eq!(out.cleaning.geocoder_requests, 0);
     }
@@ -847,7 +807,16 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        let out = preprocess(c.dataset.clone(), &c.city.street_map, &cfg).unwrap();
+        let out = preprocess_observed(
+            c.dataset.clone(),
+            &c.city.street_map,
+            &cfg,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .unwrap()
+        .0;
         assert!(out.multivariate_flagged.is_empty());
         assert!(out.dbscan_params.is_none());
     }
@@ -856,33 +825,16 @@ mod tests {
     fn empty_dataset_errors() {
         let c = collection(false);
         let empty = Dataset::new(c.dataset.schema_arc());
-        let err = preprocess(empty, &c.city.street_map, &IndiceConfig::default()).unwrap_err();
-        assert_eq!(err, IndiceError::EmptyCollection("preprocess"));
-    }
-
-    #[test]
-    fn faulty_with_no_injector_matches_plain_preprocess() {
-        let c = collection(true);
-        let plain = preprocess(
-            c.dataset.clone(),
-            &c.city.street_map,
-            &IndiceConfig::default(),
-        )
-        .unwrap();
-        let (faulty, quarantine) = preprocess_observed(
-            c.dataset.clone(),
+        let err = preprocess_observed(
+            empty,
             &c.city.street_map,
             &IndiceConfig::default(),
             &epc_runtime::RuntimeConfig::sequential(),
             None,
             None,
         )
-        .unwrap();
-        assert!(quarantine.is_empty());
-        assert_eq!(faulty.kept_rows, plain.kept_rows);
-        assert_eq!(faulty.removed_rows, plain.removed_rows);
-        assert_eq!(faulty.cleaning, plain.cleaning);
-        assert!(faulty.degraded_rows.is_empty());
+        .unwrap_err();
+        assert_eq!(err, IndiceError::EmptyCollection("preprocess"));
     }
 
     #[test]
@@ -1165,12 +1117,16 @@ mod tests {
         let mut c = collection(true);
         apply_noise(&mut c, &NoiseConfig::default());
         let n = c.dataset.n_rows();
-        let out = preprocess(
+        let out = preprocess_observed(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         for &r in &out.removed_rows {
             assert!(r < n);
         }

@@ -9,7 +9,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use epc_geo::address::Address;
-use epc_geo::cleaning::{clean_addresses, AddressQuery, CleaningConfig};
+use epc_geo::cleaning::{clean_addresses_degradable, AddressQuery, CleaningConfig};
 use epc_geo::geocode::{QuotaGeocoder, SimulatedGeocoder};
 use epc_geo::point::GeoPoint;
 use epc_model::wellknown as wk;
@@ -76,7 +76,14 @@ fn main() {
             phi,
             ..CleaningConfig::default()
         };
-        let (cleaned, report) = clean_addresses(&queries, reference, None, &cfg);
+        let (cleaned, report) = clean_addresses_degradable(
+            &queries,
+            reference,
+            None,
+            &cfg,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         let (street_acc, zip_acc) = accuracy(&cleaned, truth);
         println!(
             "{phi:>6.2} {:>10} {:>10} {:>11.1}% {:>9.1}%",
@@ -99,7 +106,14 @@ fn main() {
             QuotaGeocoder::new(SimulatedGeocoder::new(reference.clone(), 0.55, 0.02), quota);
         let geo: Option<&dyn epc_geo::geocode::Geocoder> =
             if quota > 0 { Some(&geocoder) } else { None };
-        let (cleaned, report) = clean_addresses(&queries, reference, geo, &cfg);
+        let (cleaned, report) = clean_addresses_degradable(
+            &queries,
+            reference,
+            geo,
+            &cfg,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         let (street_acc, _) = accuracy(&cleaned, truth);
         println!(
             "{quota:>8} {:>10} {:>10} {:>10} {:>11.1}%",

@@ -101,7 +101,14 @@ fn main() {
             },
             ..IndiceConfig::default()
         };
-        let out = indice::analytics::analyze(engine.dataset(), &cfg).expect("analytics");
+        let out = indice::analytics::analyze_observed_from(
+            engine.dataset(),
+            &cfg,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+            None,
+        )
+        .expect("analytics");
         println!(
             "K = {k}: SSE = {:.1}, cluster sizes = {:?}",
             out.kmeans.sse,

@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use epc_geo::address::Address;
-use epc_geo::cleaning::{clean_addresses, AddressQuery, CleaningConfig};
+use epc_geo::cleaning::{clean_addresses_degradable, AddressQuery, CleaningConfig};
 use epc_geo::geocode::{Geocoder, QuotaGeocoder, SimulatedGeocoder};
 use epc_geo::point::GeoPoint;
 use epc_model::wellknown as wk;
@@ -78,11 +78,13 @@ fn street_accuracy(cleaned: &[epc_geo::cleaning::CleanedAddress], c: &SyntheticC
 fn default_phi_reconstructs_most_streets() {
     let c = noisy_collection();
     let queries = queries_of(&c);
-    let (cleaned, report) = clean_addresses(
+    let (cleaned, report) = clean_addresses_degradable(
         &queries,
         &c.city.street_map,
         None,
         &CleaningConfig::default(),
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
     );
     let acc = street_accuracy(&cleaned, &c);
     assert!(acc > 0.9, "street accuracy {acc}");
@@ -94,11 +96,13 @@ fn default_phi_reconstructs_most_streets() {
 fn coordinates_are_restored_close_to_truth() {
     let c = noisy_collection();
     let queries = queries_of(&c);
-    let (cleaned, _) = clean_addresses(
+    let (cleaned, _) = clean_addresses_degradable(
         &queries,
         &c.city.street_map,
         None,
         &CleaningConfig::default(),
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
     );
     let mut errors_m = Vec::new();
     for x in &cleaned {
@@ -125,7 +129,14 @@ fn stricter_phi_resolves_fewer_by_reference() {
             phi,
             ..CleaningConfig::default()
         };
-        let (_, report) = clean_addresses(&queries, &c.city.street_map, None, &cfg);
+        let (_, report) = clean_addresses_degradable(
+            &queries,
+            &c.city.street_map,
+            None,
+            &cfg,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         assert!(
             report.by_reference <= prev,
             "phi {phi}: {} > {prev}",
@@ -144,7 +155,14 @@ fn geocoder_quota_rescues_unresolved_addresses() {
         phi: 0.97,
         ..CleaningConfig::default()
     };
-    let (_, without) = clean_addresses(&queries, &c.city.street_map, None, &cfg);
+    let (_, without) = clean_addresses_degradable(
+        &queries,
+        &c.city.street_map,
+        None,
+        &cfg,
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
+    );
     assert!(
         without.unresolved > 0,
         "need unresolved addresses for the test"
@@ -154,7 +172,14 @@ fn geocoder_quota_rescues_unresolved_addresses() {
         SimulatedGeocoder::new(c.city.street_map.clone(), 0.55, 0.0),
         10_000,
     );
-    let (_, with) = clean_addresses(&queries, &c.city.street_map, Some(&geocoder), &cfg);
+    let (_, with) = clean_addresses_degradable(
+        &queries,
+        &c.city.street_map,
+        Some(&geocoder),
+        &cfg,
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
+    );
     assert!(with.unresolved < without.unresolved);
     assert!(with.by_geocoder > 0);
     assert_eq!(with.geocoder_requests, geocoder.requests_made());
@@ -178,11 +203,13 @@ fn abbreviated_streets_are_exact_matches_after_normalization() {
         return; // seed produced no such row; nothing to check
     };
     let queries = queries_of(&c);
-    let (cleaned, _) = clean_addresses(
+    let (cleaned, _) = clean_addresses_degradable(
         &queries[row..=row],
         &c.city.street_map,
         None,
         &CleaningConfig::default(),
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
     );
     match cleaned[0].outcome {
         epc_geo::cleaning::CleaningOutcome::ResolvedByReference { similarity } => {
@@ -202,11 +229,13 @@ fn unresolved_never_invents_data() {
         address: Address::new("zzz qqq xxx", Some("1"), None),
         point: None,
     };
-    let (cleaned, report) = clean_addresses(
+    let (cleaned, report) = clean_addresses_degradable(
         std::slice::from_ref(&garbage),
         map,
         None,
         &CleaningConfig::default(),
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
     );
     assert_eq!(report.unresolved, 1);
     assert_eq!(cleaned[0].address, garbage.address);
